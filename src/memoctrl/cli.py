@@ -5,7 +5,7 @@ README); results go to an output directory as CSV fields, a cost-breakdown
 JSON, and a run manifest recording the config echo, derived constants,
 solver reports, file inventory, timings, and (for verify) the pass/fail
 table.  Exit codes: 0 success, 1 config or validation error, 2 solver
-non-convergence, 3 verification failure.
+non-convergence or breakdown, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -41,13 +41,16 @@ CONFIG_EXAMPLE = {
     "nt": 128,
     "source": {"preset": "constant", "amplitude": 1.0},
     "control": {"preset": "zero"},
-    "solver": {"tol": 1e-8, "max_picard": 200, "cg_tol": 1e-12,
+    "solver": {"tol": 1e-8, "max_picard": 200,
                "outer_tol": 1e-7, "outer_max": 100},
     "memory_cap_mb": 512,
 }
 
 # fields held simultaneously during an optimize run, for the memory estimate
 _PERSISTENT_FIELDS = 16
+
+# what a solver raises when it breaks down; reported as exit 2
+_SOLVER_ERRORS = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -192,24 +195,6 @@ def field_to_csv(field, path):
                 fh.write(f"{coords},{float(t)!r},{float(field.values[i, k])!r}\n")
 
 
-def series_to_csv(series, path):
-    with open(path, "w") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(series.grid.times, series.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-
-def series_from_csv(path, grid):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.shape[0] != grid.nt + 1:
-        raise ConfigError(f"series csv {path} has {data.shape[0]} rows, "
-                          f"expected {grid.nt + 1}")
-    if not np.allclose(data[:, 0], grid.times, atol=1e-12):
-        raise ConfigError(f"series csv {path} times do not match the grid")
-    from .timeops import TimeSeries
-    return TimeSeries(grid, data[:, 1])
-
-
 def field_from_csv(path, grid, tgrid):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     expected = grid.nnodes * (tgrid.nt + 1)
@@ -270,8 +255,7 @@ def cmd_solve(cfg, out_dir):
     manifest = _base_manifest(cfg, params)
     t0 = time.perf_counter()
     u, report = solve_state(StateProblem(
-        params=params, f=f, v=v, tol=s["tol"], max_picard=s["max_picard"],
-        cg_tol=s["cg_tol"]))
+        params=params, f=f, v=v, tol=s["tol"], max_picard=s["max_picard"]))
     manifest["timings_s"]["solve"] = time.perf_counter() - t0
     manifest["reports"]["state"] = _report_dict(report)
     field_to_csv(u, out_dir / "u0.csv")
@@ -289,7 +273,7 @@ def cmd_optimize(cfg, out_dir):
     t0 = time.perf_counter()
     result = solve_optimality(f, params, outer_tol=s["outer_tol"],
                               outer_max=s["outer_max"],
-                              max_picard=s["max_picard"], cg_tol=s["cg_tol"])
+                              max_picard=s["max_picard"])
     manifest["timings_s"]["optimize"] = time.perf_counter() - t0
     for name, rep in result.reports.items():
         manifest["reports"][name] = _report_dict(rep)
@@ -368,6 +352,9 @@ def _run_sweep_point(args):
         code = cmd_optimize(point, out_dir)
     except ConfigError as exc:
         return {"axis": axis, "value": value, "exit": 1, "error": str(exc)}
+    except _SOLVER_ERRORS as exc:
+        return {"axis": axis, "value": value, "exit": 2,
+                "error": f"solver error: {exc}"}
     runtime = time.perf_counter() - t0
     with open(out_dir / "manifest.json") as fh:
         manifest = json.load(fh)
@@ -467,6 +454,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except _SOLVER_ERRORS as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -110,15 +110,9 @@ def gradient_J0(v0, u0_of_v0, params, direction, *, tol=1e-10, max_picard=400):
     of all bilinear pairings (the exact derivative of the quadratic
     functional, up to solver tolerance).
     """
-    check_compatible(v0, u0_of_v0)
     check_compatible(v0, direction)
-    w = omega_mask(u0_of_v0.grid, params)
-    c = ~w
-    theta = solve_linearized(direction, params, tol=tol, max_picard=max_picard)
-    terms = _u_pairings(theta, u0_of_v0, params, _u_lifts(theta, params),
-                        _u_lifts(u0_of_v0, params), w, c)
-    terms.update(_v_pairings(direction, v0, params, w))
-    return 2.0 * sum(terms.values())
+    return sum(gradient_J0_terms(v0, u0_of_v0, params, direction, tol=tol,
+                                 max_picard=max_picard).values())
 
 
 def gradient_J0_terms(v0, u0_of_v0, params, direction, *, tol=1e-10,

@@ -20,7 +20,7 @@ from .params import Box
 from .timeops import (TimeGrid, apply_h_values, apply_hstar_values,
                       bvp_gstar_h_values, bvp_h_gstar_values,
                       relax_backward_values, relax_forward_values,
-                      time_derivative_values, trapezoid_weights)
+                      trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -140,23 +140,6 @@ def laplacian_slice(grid, slab):
     return out.ravel()
 
 
-def gradient_slices(grid, slab):
-    """Per-axis first derivatives of one time slice (centered, one-sided ends)."""
-    cube = np.asarray(slab, dtype=float).reshape(grid.shape)
-    outs = []
-    for ax, h in enumerate(grid.h):
-        d = np.empty_like(cube)
-        sl = lambda s: tuple(s if a == ax else slice(None) for a in range(grid.dim))
-        d[sl(slice(1, -1))] = (cube[sl(slice(2, None))] - cube[sl(slice(0, -2))]) / (2 * h)
-        d[sl(slice(0, 1))] = (-3.0 * cube[sl(slice(0, 1))] + 4.0 * cube[sl(slice(1, 2))]
-                              - cube[sl(slice(2, 3))]) / (2 * h)
-        d[sl(slice(-1, None))] = (3.0 * cube[sl(slice(-1, None))]
-                                  - 4.0 * cube[sl(slice(-2, -1))]
-                                  + cube[sl(slice(-3, -2))]) / (2 * h)
-        outs.append(d.ravel())
-    return outs
-
-
 @dataclass
 class SpaceTimeField:
     """Scalar field on (spatial grid) x (time grid), values (node, time level)."""
@@ -220,11 +203,6 @@ def lift_timeop(field, op, params):
                          f"expected one of {sorted(_TIME_OPS)}") from None
     return SpaceTimeField(field.grid, field.tgrid,
                           kernel(field.values, params, field.tgrid.dt))
-
-
-def time_derivative_field(field):
-    return SpaceTimeField(field.grid, field.tgrid,
-                          time_derivative_values(field.values, field.tgrid.dt))
 
 
 def space_weights(grid):

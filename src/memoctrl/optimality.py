@@ -16,8 +16,7 @@ direct_minimize is the independent cross-check: descent on the evaluated
 cost functional itself with the adjoint-state gradient.  The raw L2 gradient
 is dominated by the (dt v)^2 stiffness, making plain steepest descent
 useless at any practical grid, so steps are preconditioned with the exact
-control-space Hessian block (an H1-in-time Riesz map); a plain L2 map is
-kept as an option.
+control-space Hessian block (an H1-in-time Riesz map).
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_banded
 
 from .cost import evaluate_J0
-from .fields import (SpaceTimeField, laplacian_matrix, lift_timeop,
-                     omega_mask, space_weights)
+from .fields import SpaceTimeField, lift_timeop
 from .state import (StateProblem, _cn_residual, _embed, _memory_values,
-                    _solve_parabolic_memory, solve_state)
+                    _solve_parabolic_memory, _state_source, discretization,
+                    solve_state)
 from .timeops import trapezoid_weights
 
 
@@ -52,50 +51,44 @@ def adjoint_source(u0, params):
     -Lap u0 + An*(u0 - Bn*mu*G*(H(u0)))*chi_omega
             + An*(u0 - Bn^2*M*(M(u0)))*chi_complement
     """
-    grid, tgrid = u0.grid, u0.tgrid
-    w = omega_mask(grid, params)
+    ctx = discretization(params, u0.grid, u0.tgrid)
+    interior, w = ctx.interior, ctx.omega
     GH = lift_timeop(u0, "G*H", params)
     MM = lift_timeop(lift_timeop(u0, "M", params), "M*", params)
     vals = np.zeros_like(u0.values)
-    interior = grid.interior_idx
-    L = laplacian_matrix(grid)
-    vals[interior] = L @ u0.values[interior] + params.An * u0.values[interior]
+    vals[interior] = ctx.L @ u0.values[interior] \
+        + params.An * u0.values[interior]
     vals[w] -= params.An * params.Bn * params.mu * GH.values[w]
-    c_int = ~w
-    c_int[grid.boundary_mask] = False
-    vals[c_int] -= params.An * params.Bn ** 2 * MM.values[c_int]
-    return SpaceTimeField(grid, tgrid, vals)
+    c = interior[ctx.c_int]
+    vals[c] -= params.An * params.Bn ** 2 * MM.values[c]
+    return SpaceTimeField(u0.grid, u0.tgrid, vals)
 
 
-def solve_adjoint(u0, params, source=None, *, tol=1e-8, max_picard=200,
-                  cg_tol=1e-12, relax=1.0):
+def solve_adjoint(u0, params, source=None, *, tol=1e-8, max_picard=200):
     """Backward solve with terminal condition p(T) = u0(T).
 
     source overrides the default adjoint right side (useful for manufactured
     problems); it must vanish where the Dirichlet condition holds.
     """
-    grid, tgrid = u0.grid, u0.tgrid
+    ctx = discretization(params, u0.grid, u0.tgrid)
     if source is None:
         source = adjoint_source(u0, params)
-    interior = grid.interior_idx
-    F_rev = source.values[interior][:, ::-1].copy()
-    ic = u0.values[interior, -1].copy()
+    F_rev = source.values[ctx.interior][:, ::-1].copy()
+    ic = u0.values[ctx.interior, -1].copy()
     q_int, report = _solve_parabolic_memory(
-        params, grid, tgrid, F_rev, ic, tol=tol, max_picard=max_picard,
-        cg_tol=cg_tol, relax=relax)
-    return _embed(grid, tgrid, q_int[:, ::-1]), report
+        ctx, F_rev, ic, tol=tol, max_picard=max_picard)
+    return _embed(ctx, q_int[:, ::-1]), report
 
 
-def _adjoint_residual(p_int, u_int, F_adj_int, params, L, dt, ws_int, w_int):
+def _adjoint_residual(ctx, p_int, F_adj_int):
     """Half-step residual of the backward equation, measured in reversed time."""
     q = p_int[:, ::-1]
-    m = _memory_values(q, params, w_int, ~w_int, dt)
-    return _cn_residual(q, m, F_adj_int[:, ::-1], L, params.An, dt, ws_int)
+    return _cn_residual(ctx, q, _memory_values(ctx, q), F_adj_int[:, ::-1])
 
 
 def control_from_adjoint(p0, params):
     """v0 = -(1/N) H(G*(p0)) restricted to the controlled region."""
-    w = omega_mask(p0.grid, params)
+    w = discretization(params, p0.grid, p0.tgrid).omega
     lifted = lift_timeop(p0, "HG*", params)
     vals = np.zeros_like(p0.values)
     vals[w] = -lifted.values[w] / params.N
@@ -103,7 +96,7 @@ def control_from_adjoint(p0, params):
 
 
 def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
-                     inner_tol=None, max_picard=200, cg_tol=1e-12):
+                     inner_tol=None, max_picard=200):
     """Gauss-Seidel sweeps on the coupled state/adjoint system.
 
     The inner solves run a decade tighter than the outer tolerance so the
@@ -113,12 +106,8 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
     if inner_tol is None:
         inner_tol = min(1e-8, outer_tol / 10.0)
     grid, tgrid = f.grid, f.tgrid
-    interior = grid.interior_idx
-    w_full = omega_mask(grid, params)
-    w_int = w_full[interior]
-    L = laplacian_matrix(grid)
-    ws_int = space_weights(grid)[interior]
-    dt = tgrid.dt
+    ctx = discretization(params, grid, tgrid)
+    interior = ctx.interior
 
     p = SpaceTimeField.zeros(grid, tgrid)
     u = SpaceTimeField.zeros(grid, tgrid)
@@ -132,11 +121,10 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
     for iterations in range(1, outer_max + 1):
         v = control_from_adjoint(p, params)
         u, rep_u = solve_state(StateProblem(
-            params=params, f=f, v=v, tol=inner_tol, max_picard=max_picard,
-            cg_tol=cg_tol))
+            params=params, f=f, v=v, tol=inner_tol, max_picard=max_picard))
         src = adjoint_source(u, params)
         p_new, rep_p = solve_adjoint(u, params, source=src, tol=inner_tol,
-                                     max_picard=max_picard, cg_tol=cg_tol)
+                                     max_picard=max_picard)
         if rho < 1.0:
             p = SpaceTimeField(grid, tgrid,
                                rho * p_new.values + (1.0 - rho) * p.values)
@@ -145,14 +133,11 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
 
         # residuals of both equations at the current iterates
         v_now = control_from_adjoint(p, params)
-        F_u = f.values[interior].copy()
-        F_u[w_int] += params.An * params.Bn * v_now.values[interior][w_int]
         u_int = u.values[interior]
-        m_u = _memory_values(u_int, params, w_int, ~w_int, dt)
-        r_u = _cn_residual(u_int, m_u, F_u, L, params.An, dt, ws_int)
-        r_p = _adjoint_residual(p.values[interior], u_int,
-                                src.values[interior], params, L, dt,
-                                ws_int, w_int)
+        r_u = _cn_residual(ctx, u_int, _memory_values(ctx, u_int),
+                           _state_source(ctx, f, v_now))
+        r_p = _adjoint_residual(ctx, p.values[interior],
+                                src.values[interior])
         res = r_u + r_p
         if res < 0.95 * best_res:
             stall = 0
@@ -188,7 +173,7 @@ def extract_control_ode(p0, params):
     nt, dt = tgrid.nt, tgrid.dt
     kappa = params.Bn * params.mu
     mu = params.mu
-    w = omega_mask(grid, params)
+    w = discretization(params, grid, tgrid).omega
     s = -p0.values[w] / params.N
 
     inv2 = 1.0 / dt ** 2
@@ -225,21 +210,20 @@ def _control_hessian_time(params, tgrid):
 
 
 def direct_minimize(f, params, v_init=None, *, grad_tol=1e-9, max_iter=100,
-                    precond="h1", inner_tol=1e-9, max_picard=300,
-                    armijo_c1=1e-4, verbose=False):
+                    inner_tol=1e-9, max_picard=300):
     """Descend the evaluated cost functional; cross-check for the coupled solve.
 
     Gradient: 2*An*Bn*(adjoint state on the controlled region) plus the exact
     derivative of the explicit control terms.  Steps are preconditioned with
-    the control-Hessian time block ('h1') or the plain quadrature Riesz map
-    ('l2'); Armijo backtracking keeps the cost history non-increasing.
-    Returns (v_star, j_history, info).
+    the control-Hessian time block; Armijo backtracking keeps the cost
+    history non-increasing.  Returns (v_star, j_history, info).
     """
     grid, tgrid = f.grid, f.tgrid
     nt = tgrid.nt
-    w = omega_mask(grid, params)
+    ctx = discretization(params, grid, tgrid)
+    w = ctx.omega
     widx = np.flatnonzero(w)
-    ws = space_weights(grid)[widx]
+    ws = ctx.ws_int[ctx.w_int]
     wt = trapezoid_weights(nt, tgrid.dt)
     K = _control_hessian_time(params, tgrid)
     K_red = K[1:, 1:]
@@ -271,14 +255,8 @@ def direct_minimize(f, params, v_init=None, *, grad_tol=1e-9, max_iter=100,
         g += 2.0 * NAnBn * ws[:, None] * (vloc @ K.T)
         g[:, 0] = 0.0
 
-        if precond == "h1":
-            d = np.zeros_like(g)
-            d[:, 1:] = -cho_solve(chol, g[:, 1:].T).T / (2.0 * NAnBn * ws[:, None])
-        elif precond == "l2":
-            d = -g / (ws[:, None] * wt[None, :])
-            d[:, 0] = 0.0
-        else:
-            raise ValueError(f"unknown preconditioner {precond!r}")
+        d = np.zeros_like(g)
+        d[:, 1:] = -cho_solve(chol, g[:, 1:].T).T / (2.0 * NAnBn * ws[:, None])
 
         slope = float(np.sum(g * d))
         if slope >= 0.0 or -slope <= grad_tol ** 2:
@@ -292,7 +270,7 @@ def direct_minimize(f, params, v_init=None, *, grad_tol=1e-9, max_iter=100,
             v_try.values[widx] = vloc + alpha * d
             u_try, _ = state_of(v_try)
             J_try = evaluate_J0(v_try, u_try, params).total
-            if J_try <= J + armijo_c1 * alpha * slope:
+            if J_try <= J + 1e-4 * alpha * slope:
                 accepted = True
                 break
             alpha *= 0.5
@@ -301,8 +279,6 @@ def direct_minimize(f, params, v_init=None, *, grad_tol=1e-9, max_iter=100,
                         iterations=it)
             break
         v, u = v_try, u_try
-        if verbose:
-            print(f"  it {it}: J = {J_try:.12e}  step {alpha:g}")
         stalled = J - J_try <= 1e-15 * max(1.0, abs(J))
         J = J_try
         history.append(J)

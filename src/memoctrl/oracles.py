@@ -41,38 +41,28 @@ def rk4_relax_forward(phi_fn, rate, T, nt, sub=4):
     return traj[::sub, 0]
 
 
+def _shoot_pair(src_fn, kappa, hom0, T, nt, sub):
+    """RK4 on y'' = kappa*y - src from rest (columns 0, 1) and on the
+    homogeneous y'' = kappa*y from (y, y') = hom0 (columns 2, 3), as one
+    decoupled system; returns the fine trajectory."""
+    def rhs(t, y):
+        return np.array([y[1], kappa * y[0] - src_fn(t), y[3], kappa * y[2]])
+
+    return rk4_march(rhs, [0.0, 0.0] + hom0, 0.0, T / (nt * sub), nt * sub)
+
+
 def shoot_gstar_h(phi_fn, Bn, mu, T, nt, sub=4):
     """Shooting solve of -A'' + Bn*mu*A = phi, A(T)=0, -A'(0)+mu*A(0)=0."""
-    kappa = Bn * mu
-    dtf = T / (nt * sub)
-
-    def rhs(t, y):
-        return np.array([y[1], kappa * y[0] - phi_fn(t)])
-
-    def rhs_hom(t, y):
-        return np.array([y[1], kappa * y[0]])
-
-    part = rk4_march(rhs, [0.0, 0.0], 0.0, dtf, nt * sub)
-    hom = rk4_march(rhs_hom, [1.0, mu], 0.0, dtf, nt * sub)
-    a = -part[-1, 0] / hom[-1, 0]
-    return (part[:, 0] + a * hom[:, 0])[::sub]
+    y = _shoot_pair(phi_fn, Bn * mu, [1.0, mu], T, nt, sub)
+    a = -y[-1, 0] / y[-1, 2]
+    return (y[:, 0] + a * y[:, 2])[::sub]
 
 
 def shoot_h_gstar(psi_fn, Bn, mu, T, nt, sub=4):
     """Shooting solve of -C'' + Bn*mu*C = psi, C(0)=0, C'(T)+mu*C(T)=0."""
-    kappa = Bn * mu
-    dtf = T / (nt * sub)
-
-    def rhs(t, y):
-        return np.array([y[1], kappa * y[0] - psi_fn(t)])
-
-    def rhs_hom(t, y):
-        return np.array([y[1], kappa * y[0]])
-
-    part = rk4_march(rhs, [0.0, 0.0], 0.0, dtf, nt * sub)
-    hom = rk4_march(rhs_hom, [0.0, 1.0], 0.0, dtf, nt * sub)
-    c = -(part[-1, 1] + mu * part[-1, 0]) / (hom[-1, 1] + mu * hom[-1, 0])
-    return (part[:, 0] + c * hom[:, 0])[::sub]
+    y = _shoot_pair(psi_fn, Bn * mu, [0.0, 1.0], T, nt, sub)
+    c = -(y[-1, 1] + mu * y[-1, 0]) / (y[-1, 3] + mu * y[-1, 2])
+    return (y[:, 0] + c * y[:, 2])[::sub]
 
 
 def picard_h(phi_values, Bn, mu, dt, tol=1e-13, max_iter=500):

@@ -57,7 +57,7 @@ def _norm(w, x):
     return float(np.sqrt(np.dot(w, x * x)))
 
 
-def run_suite(params, seed=42, nt_ops=256, tamper_an=1.0):
+def run_suite(params, seed=42, tamper_an=1.0):
     """Run every invariant check; returns a list of CheckResult."""
     if tamper_an != 1.0:
         params = replace(params, An=params.An * tamper_an)
@@ -77,7 +77,7 @@ def run_suite(params, seed=42, nt_ops=256, tamper_an=1.0):
         "params/capacity-oracle-vs-An", abs(cap - params.An) / cap, 0.01))
 
     # --- time operators ----------------------------------------------------
-    grid = TimeGrid(T=T, nt=nt_ops)
+    grid = TimeGrid(T=T, nt=256)
     dt = grid.dt
     w = trapezoid_weights(grid.nt, dt)
 

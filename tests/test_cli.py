@@ -199,16 +199,27 @@ def test_sweep_parallel_workers(tmp_path):
     assert (out / "point_001" / "manifest.json").exists()
 
 
-def test_series_csv_round_trip(tmp_path):
-    from memoctrl.cli import series_from_csv, series_to_csv
-    from memoctrl.timeops import TimeGrid, TimeSeries
-    grid = TimeGrid(T=2.0, nt=10)
-    s = TimeSeries(grid, np.sin(grid.times))
-    path = tmp_path / "series.csv"
-    series_to_csv(s, path)
-    assert path.read_text().splitlines()[0] == "t,value"
-    back = series_from_csv(path, grid)
-    assert np.array_equal(back.values, s.values)
+def test_solver_breakdown_exit_2(tmp_path, capsys, monkeypatch):
+    def breakdown(*args, **kwargs):
+        raise FloatingPointError("state iterate became non-finite")
+
+    monkeypatch.setattr("memoctrl.cli.solve_optimality", breakdown)
+    cfg = write_cfg(tmp_path, TINY)
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "optimize"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "solver error: state iterate became non-finite" in captured.err
+    assert "Traceback" not in captured.err
+    # a failing point is a row of the sweep, not the end of it
+    out = tmp_path / "swp"
+    code = main(["--config", cfg, "--out", str(out),
+                 "sweep", "--axis", "N", "--values", "1,10"])
+    assert code == 2
+    lines = (out / "sweep.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert [r["exit"] for r in rows] == ["2", "2"]
+    assert all(r["error"].startswith("solver error: ") for r in rows)
 
 
 def test_usage_error_exit_1(tmp_path):

@@ -4,8 +4,7 @@ import pytest
 from memoctrl import (Box, SpaceTimeField, SpatialGrid, TimeGrid,
                       integrate_space_at, integrate_spacetime, laplacian_slice,
                       lift_timeop, make_params, omega_mask, spacetime_inner)
-from memoctrl.fields import (grad_inner, gradient_slices, laplacian_matrix,
-                             space_weights)
+from memoctrl.fields import grad_inner, laplacian_matrix, space_weights
 from memoctrl.timeops import apply_h_values
 
 
@@ -179,14 +178,6 @@ def test_lift_unknown_tag_rejected():
     z = SpaceTimeField.zeros(g, tg)
     with pytest.raises(ValueError):
         lift_timeop(z, "Q", params)
-
-
-def test_gradient_slices_exact_on_quadratic():
-    g = grid1d(41)
-    x = g.coords[:, 0]
-    u = 1.0 + 2.0 * x - 3.0 * x ** 2
-    (du,) = gradient_slices(g, u)
-    assert np.max(np.abs(du - (2.0 - 6.0 * x))) < 1e-12
 
 
 def test_grad_inner_manufactured():

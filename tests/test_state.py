@@ -206,17 +206,32 @@ def test_nan_detection_aborts():
 
 
 def test_dense_oracle_2d():
-    params = make_params(n=3, C0=1.0, N=1.0, T=1.0, sim_dim=2)
-    grid = SpatialGrid(params.domain_box, (7, 7))
-    tgrid = TimeGrid(T=1.0, nt=8)
-    x = grid.coords[:, 0][:, None]
-    y = grid.coords[:, 1][:, None]
-    t = tgrid.times[None, :]
-    f = SpaceTimeField(grid, tgrid,
-                       (1.0 + np.sin(np.pi * x) * np.sin(np.pi * y))
-                       * np.ones_like(t))
-    u, report = solve_state(StateProblem(params=params, f=f, tol=1e-12))
-    assert report.converged
-    dense = dense_state_solve(params, grid, tgrid, f.values,
-                              np.zeros_like(f.values))
-    assert np.max(np.abs(u.values[grid.interior_idx] - dense)) < 1e-6
+    # the unit square, an anisotropic box with unequal node counts and
+    # spacings per axis, and a 3-D grid; every omega box keeps off the
+    # boundary nodes
+    cases = [
+        (Box((0.0, 0.0), (1.0, 1.0)), Box((0.25, 0.25), (0.75, 0.75)),
+         (7, 7)),
+        (Box((0.0, 0.0), (2.0, 1.0)), Box((0.5, 0.25), (1.5, 0.75)),
+         (7, 5)),
+        (Box((0.0,) * 3, (1.0,) * 3), Box((0.25,) * 3, (0.75,) * 3),
+         (5, 4, 5)),
+    ]
+    for domain, omega, shape in cases:
+        params = make_params(n=3, C0=1.0, N=1.0, T=1.0, sim_dim=domain.dim,
+                             domain_box=domain, omega_box=omega)
+        grid = SpatialGrid(params.domain_box, shape)
+        tgrid = TimeGrid(T=1.0, nt=8)
+        t = tgrid.times[None, :]
+        bump = np.ones((grid.nnodes, 1))
+        for ax in range(grid.dim):
+            x = grid.coords[:, ax][:, None]
+            bump *= np.sin(np.pi * (x - domain.lo[ax])
+                           / (domain.hi[ax] - domain.lo[ax]))
+        f = SpaceTimeField(grid, tgrid, (1.0 + bump) * np.ones_like(t))
+        u, report = solve_state(StateProblem(params=params, f=f, tol=1e-12))
+        assert report.converged
+        assert omega_mask(grid, params).any()
+        dense = dense_state_solve(params, grid, tgrid, f.values,
+                                  np.zeros_like(f.values))
+        assert np.max(np.abs(u.values[grid.interior_idx] - dense)) < 1e-6
