@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
 import json
 import sys
 import time
@@ -396,11 +397,10 @@ def cmd_sweep(cfg, out_dir, axis, values, workers=1):
             return str(int(x))
         return repr(float(x))
 
-    with open(out_dir / "sweep.csv", "w") as fh:
-        fh.write(",".join(keys) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(row.get(k, ""))
-                              for k in keys) + "\n")
+    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([fmt(row.get(k, "")) for k in keys] for row in rows)
     return 2 if any(row["exit"] != 0 for row in rows) else 0
 
 

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dc_fields
 
 from .fields import (check_compatible, dt_inner, grad_inner, lift_timeop,
-                     omega_mask, space_inner_at, spacetime_inner)
-from .state import solve_linearized
+                     space_inner_at, spacetime_inner)
+from .state import discretization, solve_linearized
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,9 @@ class CostBreakdown:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-_TERM_NAMES = [f.name for f in dc_fields(CostBreakdown) if f.name != "total"]
+def _omega(fld, params):
+    """Controlled-region mask of fld's grid, from the cached discretization."""
+    return discretization(params, fld.grid, fld.tgrid).omega
 
 
 def _u_lifts(u, params):
@@ -95,7 +97,7 @@ def _v_pairings(va, vb, params, w):
 def evaluate_J0(v, u0, params):
     """All cost terms for a control v and a state field u0."""
     check_compatible(v, u0)
-    w = omega_mask(u0.grid, params)
+    w = _omega(u0, params)
     c = ~w
     lifts = _u_lifts(u0, params)
     terms = _u_pairings(u0, u0, params, lifts, lifts, w, c)
@@ -123,7 +125,7 @@ def gradient_J0_terms(v0, u0_of_v0, params, direction, *, tol=1e-10,
     cancellation at a stationary point is judged.
     """
     check_compatible(v0, u0_of_v0)
-    w = omega_mask(u0_of_v0.grid, params)
+    w = _omega(u0_of_v0, params)
     c = ~w
     theta = solve_linearized(direction, params, tol=tol, max_picard=max_picard)
     terms = _u_pairings(theta, u0_of_v0, params, _u_lifts(theta, params),
@@ -146,7 +148,7 @@ def check_M_decomposition(u, params):
     rhs = int_{complement} (u - Bn M(u))^2 + Bn int_{complement} M(u)(T)^2
     """
     Bn = params.Bn
-    c = ~omega_mask(u.grid, params)
+    c = ~_omega(u, params)
     Mu = lift_timeop(u, "M", params)
     MsMu = lift_timeop(Mu, "M*", params)
     left = u.copy()
@@ -167,7 +169,7 @@ def check_GH_decomposition(u, params):
           + Bn int_{omega} H(u)(T)^2
     """
     Bn, mu, N = params.Bn, params.mu, params.N
-    w = omega_mask(u.grid, params)
+    w = _omega(u, params)
     GHu = lift_timeop(u, "G*H", params)
     Hu = lift_timeop(u, "H", params)
     left = u.copy()
@@ -189,7 +191,7 @@ def check_HGstar_decomposition(p, params):
           + mu int_{omega} H(G*(p))(T)^2
     """
     Bn, mu = params.Bn, params.mu
-    w = omega_mask(p.grid, params)
+    w = _omega(p, params)
     HGp = lift_timeop(p, "HG*", params)
     lhs = spacetime_inner(HGp, p, mask=w)
     rhs = dt_inner(HGp, HGp, mask=w) \

@@ -6,9 +6,13 @@ iteration on the defining non-local equations using only the relaxation
 maps, and monolithic dense space-time solves of the marching schemes.  The
 executable verification suite and the test suite both check the production
 solvers against these.
+
+The RK4 oracles call their source once, on an array of all stage times, and
+march all steps as one banded forward substitution (see _rk4_affine).
 """
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
 from .timeops import relax_backward_values, relax_forward_values
 
@@ -30,36 +34,76 @@ def rk4_march(f, y0, t0, dt, nsteps):
     return out
 
 
+def _rk4_affine(K, b, src_fn, y0, T, nsteps):
+    """RK4 on y' = K y + b*src(t) from each column of y0, the source driving
+    column 0 only; returns the trajectory, shape (nsteps + 1, d, ncols).
+
+    One RK4 step of a linear system is affine, y_{k+1} = P y_k
+    + Q (s_k, s_{k+1/2}, s_{k+1}).  P and Q are read off one rk4_march step
+    of d + 3 copies: copy c < d starts from e_c without source, copy d + j
+    from rest with a unit source at stage time j*dt/2 only.  All steps are
+    then one unit lower-triangular banded system in the interleaved
+    unknowns y_1..y_n (bandwidth 2d - 1), solved by forward substitution.
+    src_fn is called once, on the 2*nsteps + 1 stage times.
+    """
+    d, dt = len(b), T / nsteps
+
+    def unit_rhs(t, y):
+        out = y.reshape(d + 3, d) @ K.T
+        out[d + round(2.0 * t / dt)] += b
+        return out.ravel()
+
+    start = np.vstack([np.eye(d), np.zeros((3, d))]).ravel()
+    PQ = rk4_march(unit_rhs, start, 0.0, dt, 1)[1].reshape(d + 3, d).T
+    P, Q = PQ[:, :d], PQ[:, d:]
+    s = np.broadcast_to(src_fn(np.arange(2 * nsteps + 1) * (dt / 2.0)),
+                        (2 * nsteps + 1,))
+    rhs = np.zeros((nsteps, d, y0.shape[1]))
+    rhs[:, :, 0] = np.stack([s[:-1:2], s[1::2], s[2::2]], axis=1) @ Q.T
+    rhs[0] += P @ y0
+    ab = np.zeros((2 * d, nsteps * d))
+    ab[0] = 1.0
+    for i in range(d):
+        for j in range(d):
+            ab[d + i - j, j::d] = -P[i, j]
+    x, _ = dtbtrs(ab, rhs.reshape(nsteps * d, -1), uplo="L", diag="U")
+    return np.concatenate([y0[None], x.reshape(rhs.shape)])
+
+
 def rk4_relax_forward(phi_fn, rate, T, nt, sub=4):
-    """Dense integration of y' + rate*y = phi, y(0) = 0, sampled on the grid."""
-    dtf = T / (nt * sub)
+    """Dense integration of y' + rate*y = phi, y(0) = 0, sampled on the grid.
 
-    def rhs(t, y):
-        return np.array([phi_fn(t) - rate * y[0]])
-
-    traj = rk4_march(rhs, [0.0], 0.0, dtf, nt * sub)
-    return traj[::sub, 0]
+    phi_fn is called once, on an array of times.
+    """
+    y = _rk4_affine(np.array([[-rate]]), np.array([1.0]), phi_fn,
+                    np.zeros((1, 1)), T, nt * sub)
+    return y[::sub, 0, 0]
 
 
 def _shoot_pair(src_fn, kappa, hom0, T, nt, sub):
     """RK4 on y'' = kappa*y - src from rest (columns 0, 1) and on the
-    homogeneous y'' = kappa*y from (y, y') = hom0 (columns 2, 3), as one
-    decoupled system; returns the fine trajectory."""
-    def rhs(t, y):
-        return np.array([y[1], kappa * y[0] - src_fn(t), y[3], kappa * y[2]])
-
-    return rk4_march(rhs, [0.0, 0.0] + hom0, 0.0, T / (nt * sub), nt * sub)
+    homogeneous y'' = kappa*y from (y, y') = hom0 (columns 2, 3), marched
+    together; returns the fine trajectory."""
+    y = _rk4_affine(np.array([[0.0, 1.0], [kappa, 0.0]]), np.array([0.0, -1.0]),
+                    src_fn, np.column_stack([np.zeros(2), hom0]), T, nt * sub)
+    return y.transpose(0, 2, 1).reshape(len(y), 4)
 
 
 def shoot_gstar_h(phi_fn, Bn, mu, T, nt, sub=4):
-    """Shooting solve of -A'' + Bn*mu*A = phi, A(T)=0, -A'(0)+mu*A(0)=0."""
+    """Shooting solve of -A'' + Bn*mu*A = phi, A(T)=0, -A'(0)+mu*A(0)=0.
+
+    phi_fn is called once, on an array of times.
+    """
     y = _shoot_pair(phi_fn, Bn * mu, [1.0, mu], T, nt, sub)
     a = -y[-1, 0] / y[-1, 2]
     return (y[:, 0] + a * y[:, 2])[::sub]
 
 
 def shoot_h_gstar(psi_fn, Bn, mu, T, nt, sub=4):
-    """Shooting solve of -C'' + Bn*mu*C = psi, C(0)=0, C'(T)+mu*C(T)=0."""
+    """Shooting solve of -C'' + Bn*mu*C = psi, C(0)=0, C'(T)+mu*C(T)=0.
+
+    psi_fn is called once, on an array of times.
+    """
     y = _shoot_pair(psi_fn, Bn * mu, [0.0, 1.0], T, nt, sub)
     c = -(y[-1, 1] + mu * y[-1, 0]) / (y[-1, 3] + mu * y[-1, 2])
     return (y[:, 0] + c * y[:, 2])[::sub]
@@ -98,13 +142,12 @@ def picard_hstar(psi_values, Bn, mu, dt, tol=1e-13, max_iter=500):
 
 
 def time_op_matrix(kernel, nt):
-    """Dense matrix of a linear time operator, column by column."""
-    M = np.empty((nt + 1, nt + 1))
-    for j in range(nt + 1):
-        e = np.zeros(nt + 1)
-        e[j] = 1.0
-        M[:, j] = kernel(e)
-    return M
+    """Dense matrix of a linear time operator.
+
+    Every kernel acts along the last axis, so one call on the identity
+    applies it to all unit vectors at once; row j is the image of e_j.
+    """
+    return kernel(np.eye(nt + 1)).T
 
 
 def dense_state_solve(params, grid, tgrid, f_vals, v_vals):

@@ -18,6 +18,9 @@ Four operator families act on scalar time series:
 
 The relaxations use the exact exponential integrator with a piecewise-linear
 source, so they are exact for affine inputs and unconditionally stable.  The
+integrator's recurrence over all time levels of all series is one unit
+lower-bidiagonal system, solved by a single banded forward substitution
+(LAPACK dtbtrs) with the series as right-hand sides.  The
 BVPs use second-order central differences with the boundary conditions
 eliminated to keep a tridiagonal system; the Robin rows are built from the
 same one-sided derivative stencil as :func:`time_derivative`, so the
@@ -35,6 +38,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dtbtrs
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,18 @@ def relax_forward_values(phi, rate, dt):
         raise ValueError(f"relaxation rate must be positive, got {rate}")
     phi = np.asarray(phi, dtype=float)
     E, c0, c1 = _exp_weights(rate, dt)
-    out = np.zeros_like(phi)
-    for k in range(phi.shape[-1] - 1):
-        out[..., k + 1] = E * out[..., k] + c0 * phi[..., k] + c1 * phi[..., k + 1]
-    return out
+    flat = phi.reshape(-1, phi.shape[-1])
+    out = np.zeros(flat.shape)
+    # y_{k+1} - E y_k = s_k, y_0 = 0: one unit lower-bidiagonal solve whose
+    # right-hand sides are the series (s.T is F-contiguous, so no copy)
+    s = c0 * flat[:, :-1] + c1 * flat[:, 1:]
+    if s.size:  # an empty right-hand side crashes the LAPACK wrapper
+        ab = np.empty((2, s.shape[1]))
+        ab[0] = 1.0
+        ab[1] = -E
+        y, _ = dtbtrs(ab, s.T, uplo="L", diag="U", overwrite_b=1)
+        out[:, 1:] = y.T
+    return out.reshape(phi.shape)
 
 
 def relax_backward_values(psi, rate, dt):

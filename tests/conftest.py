@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import memoctrl
 from memoctrl import TimeGrid, TimeSeries, make_params
 
 
@@ -41,3 +47,10 @@ def fourier_callable(rng, T, modes=4, decay=0.0):
         return out
 
     return fn
+
+
+def run_fresh_python(code):
+    """Run code in a new interpreter that imports this memoctrl."""
+    src = str(Path(memoctrl.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))

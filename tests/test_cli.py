@@ -1,13 +1,16 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from memoctrl.cli import (ConfigError, field_from_csv, field_to_csv,
-                          load_config, main, normalize_config)
+from memoctrl.cli import (ConfigError, _sweep_point_config, field_from_csv,
+                          field_to_csv, load_config, main, normalize_config)
 from memoctrl.fields import SpaceTimeField, SpatialGrid
 from memoctrl.params import Box
 from memoctrl.timeops import TimeGrid
+
+from .conftest import run_fresh_python
 
 
 def write_cfg(tmp_path, overrides, name="cfg.json"):
@@ -180,6 +183,28 @@ def test_sweep_refinement_gap_decreases(tmp_path):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_sweep_csv_quotes_error_text(tmp_path):
+    # omega_size 0 collapses the box; its error text holds a comma
+    overrides = {"nodes_per_axis": [9], "nt": 8,
+                 "source": {"preset": "constant", "amplitude": 1.0}}
+    cfg = write_cfg(tmp_path, overrides)
+    with pytest.raises(ConfigError) as err:
+        _sweep_point_config(load_config(cfg), "omega_size", 0.0)
+    assert "," in str(err.value)
+    out = tmp_path / "swq"
+    code = main(["--config", cfg, "--out", str(out),
+                 "sweep", "--axis", "omega_size", "--values", "0,1"])
+    assert code == 2
+    with open(out / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) == 2
+    assert all(len(row) == len(header) for row in rows)
+    failed, ok = (dict(zip(header, row)) for row in rows)
+    assert failed["exit"] == "1"
+    assert failed["error"] == str(err.value)
+    assert ok["exit"] == "0" and ok["converged"] == "True"
+
+
 def test_sweep_empty_values_exit_1(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     assert main(["--config", cfg, "--out", str(tmp_path / "s"),
@@ -236,3 +261,12 @@ def test_optimize_default_desk_grid_fp_gap(tmp_path):
     assert main(["--out", str(out), "optimize"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["fp_identity"]["rel_gap"] <= 1e-3
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal would add ~0.4 s of import time and ~23 MB of RSS to
+    # every run; the time kernels use scipy.linalg's LAPACK wrappers instead
+    out = run_fresh_python(
+        "import sys, memoctrl.cli; print('scipy.signal' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

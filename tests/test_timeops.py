@@ -6,12 +6,12 @@ import pytest
 from memoctrl import (TimeGrid, TimeSeries, apply_h, apply_hstar, bvp_gstar_h,
                       bvp_h_gstar, inner_product, make_params, relax_backward,
                       relax_forward, time_derivative)
-from memoctrl.timeops import (apply_h_values, apply_hstar_values,
-                              bvp_gstar_h_values, bvp_h_gstar_values,
-                              relax_forward_values)
+from memoctrl.timeops import (_exp_weights, apply_h_values,
+                              apply_hstar_values, bvp_gstar_h_values,
+                              bvp_h_gstar_values, relax_forward_values)
 
-from .conftest import fourier_callable, fourier_series
-from .oracles import (picard_h, picard_hstar, rk4_relax_forward,
+from .conftest import fourier_callable, fourier_series, run_fresh_python
+from .oracles import (picard_h, picard_hstar, rk4_march, rk4_relax_forward,
                       shoot_gstar_h, shoot_h_gstar)
 
 
@@ -31,6 +31,20 @@ def test_relax_forward_zero_source(tgrid):
     assert np.all(y.values == 0.0)
 
 
+def test_relax_forward_no_series():
+    # LAPACK's wrapper corrupts the heap when handed no right-hand sides, so
+    # the call runs repeatedly in a fresh interpreter that keeps allocating
+    probe = ("import numpy as np\n"
+             "from memoctrl.timeops import relax_forward_values\n"
+             "for _ in range(50):\n"
+             "    y = relax_forward_values(np.zeros((0, 9)), 3.7, 0.1)\n"
+             "    np.linalg.inv(np.eye(60) + 1.0)\n"
+             "print(y.shape)\n")
+    out = run_fresh_python(probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(0, 9)"
+
+
 def test_relax_forward_resonant_exponential(tgrid):
     lam = 2.0
     y = relax_forward(series(tgrid, lambda t: np.exp(-lam * t)), rate=lam)
@@ -39,7 +53,7 @@ def test_relax_forward_resonant_exponential(tgrid):
     # exact solution t e^{-lam t}; the integrator sees a piecewise-linear
     # source, so the defect is O(dt^2)
     assert y.values[mid] == pytest.approx(t_mid * math.exp(-lam * t_mid), abs=2e-5)
-    oracle = rk4_relax_forward(lambda t: math.exp(-lam * t), lam, tgrid.T, tgrid.nt)
+    oracle = rk4_relax_forward(lambda t: np.exp(-lam * t), lam, tgrid.T, tgrid.nt)
     assert np.max(np.abs(y.values - oracle)) < 2e-5
 
 
@@ -81,6 +95,30 @@ def test_relax_rejects_bad_rate(tgrid):
         relax_forward(phi, rate=0.0)
     with pytest.raises(ValueError):
         relax_backward(phi, rate=-1.0)
+
+
+def relax_reference(phi, rate, dt):
+    """The exponential-integrator recurrence, stepped one time level at a time."""
+    E, c0, c1 = _exp_weights(rate, dt)
+    out = np.zeros_like(phi)
+    for k in range(phi.shape[-1] - 1):
+        out[..., k + 1] = E * out[..., k] + c0 * phi[..., k] + c1 * phi[..., k + 1]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2001,), (988, 9), (3, 4, 17), (5, 3)])
+@pytest.mark.parametrize("z", [5e-4, 2e-3, 0.3, 50.0])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_relax_forward_matches_stepwise_recurrence(shape, z, reverse):
+    # z = rate*dt straddles the 1e-3 switch to series weights; (5, 3) is nt = 2
+    dt = 0.01
+    phi = np.random.default_rng(11).normal(size=shape)
+    if reverse:
+        phi = phi[..., ::-1]  # negative-stride view
+    got = relax_forward_values(phi, z / dt, dt)
+    ref = relax_reference(phi, z / dt, dt)
+    assert got.shape == shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # --- the second-order boundary-value reductions --------------------------------
@@ -125,14 +163,40 @@ def test_bvp_h_gstar_matches_shooting(params, seed):
     assert np.max(np.abs(C.values - oracle)) < 1e-6
 
 
+def shoot_reference(fn, kappa, hom0, T, nt, sub=4):
+    """The shooting pair marched stage by stage with rk4_march."""
+    def rhs(t, y):
+        return np.array([y[1], kappa * y[0] - fn(t), y[3], kappa * y[2]])
+
+    return rk4_march(rhs, [0.0, 0.0] + hom0, 0.0, T / (nt * sub), nt * sub)
+
+
+def test_affine_shooting_matches_stepwise_rk4(params):
+    fn = fourier_callable(np.random.default_rng(5), T=1.0)
+    Bn, mu, nt, sub = params.Bn, params.mu, 2000, 4
+    y = shoot_reference(fn, Bn * mu, [1.0, mu], 1.0, nt)
+    ref = (y[:, 0] - y[-1, 0] / y[-1, 2] * y[:, 2])[::sub]
+    got = shoot_gstar_h(fn, Bn, mu, 1.0, nt)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    y = shoot_reference(fn, Bn * mu, [0.0, 1.0], 1.0, nt)
+    c = -(y[-1, 1] + mu * y[-1, 0]) / (y[-1, 3] + mu * y[-1, 2])
+    ref = (y[:, 0] + c * y[:, 2])[::sub]
+    got = shoot_h_gstar(fn, Bn, mu, 1.0, nt)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    ref = rk4_march(lambda t, y: np.array([fn(t) - Bn * y[0]]), [0.0], 0.0,
+                    1.0 / (nt * sub), nt * sub)[::sub, 0]
+    got = rk4_relax_forward(fn, Bn, 1.0, nt)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_bvp_sine_source_vs_shooting(params):
     grid = TimeGrid(T=1.0, nt=2000)
     A = bvp_gstar_h(series(grid, lambda t: np.sin(np.pi * t)), params)
-    oracle = shoot_gstar_h(lambda t: math.sin(math.pi * t),
+    oracle = shoot_gstar_h(lambda t: np.sin(np.pi * t),
                            params.Bn, params.mu, grid.T, grid.nt)
     assert np.max(np.abs(A.values - oracle)) < 1e-6
     C = bvp_h_gstar(series(grid, lambda t: np.cos(np.pi * t / 2)), params)
-    oracle_c = shoot_h_gstar(lambda t: math.cos(math.pi * t / 2),
+    oracle_c = shoot_h_gstar(lambda t: np.cos(np.pi * t / 2),
                              params.Bn, params.mu, grid.T, grid.nt)
     assert np.max(np.abs(C.values - oracle_c)) < 1e-6
 
