@@ -18,6 +18,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -183,30 +184,52 @@ def build_control(cfg, params, grid, tgrid):
 
 _AXIS_NAMES = ("x", "y", "z")
 
+# nodes per write: the transient text is one block's rows, never the file
+_CSV_BLOCK_NODES = 128
+
+
+@lru_cache(maxsize=16)
+def _coordinate_text(grid):
+    """The "x,y,z," prefix of every node's rows, built once per grid."""
+    return tuple("".join(f"{c!r}," for c in row)
+                 for row in grid.coords.tolist())
+
 
 def field_to_csv(field, path):
-    """Columns (coords..., t, value), row-major: node index outer, time inner."""
-    grid, tgrid = field.grid, field.tgrid
-    header = ",".join(_AXIS_NAMES[:grid.dim]) + ",t,value"
+    """Columns (coords..., t, value), row-major: node index outer, time inner.
+
+    Every number is repr(float), the shortest text that reads back exactly.
+    """
+    grid = field.grid
+    prefixes = _coordinate_text(grid)
+    times = [f"{t!r}," for t in field.tgrid.times.tolist()]
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(grid.nnodes):
-            coords = ",".join(repr(float(c)) for c in grid.coords[i])
-            for k, t in enumerate(tgrid.times):
-                fh.write(f"{coords},{float(t)!r},{float(field.values[i, k])!r}\n")
+        fh.write(",".join(_AXIS_NAMES[:grid.dim]) + ",t,value\n")
+        for start in range(0, grid.nnodes, _CSV_BLOCK_NODES):
+            stop = start + _CSV_BLOCK_NODES
+            rows = field.values[start:stop].tolist()
+            fh.write("".join([f"{pre}{t}{v!r}\n"
+                              for pre, row in zip(prefixes[start:stop], rows)
+                              for t, v in zip(times, row)]))
 
 
 def field_from_csv(path, grid, tgrid):
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    expected = grid.nnodes * (tgrid.nt + 1)
-    if data.shape[0] != expected:
-        raise ConfigError(f"field csv {path} has {data.shape[0]} rows, "
-                          f"expected {expected} for this grid")
-    d = grid.dim
-    coords = data[::tgrid.nt + 1, :d]
-    if not np.allclose(coords, grid.coords, atol=1e-12):
+    """Read a field_to_csv file, checking every row's coordinates and time."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise ConfigError(f"cannot read field csv {path}: {exc}") from exc
+    d, nt1 = grid.dim, tgrid.nt + 1
+    expected = (grid.nnodes * nt1, d + 2)
+    if data.shape != expected:
+        raise ConfigError(f"field csv {path} has shape {data.shape} "
+                          f"(rows, columns), expected {expected} for this grid")
+    data = data.reshape(grid.nnodes, nt1, d + 2)
+    if not np.allclose(data[..., :d], grid.coords[:, None, :], atol=1e-12):
         raise ConfigError(f"field csv {path} coordinates do not match the grid")
-    vals = data[:, d + 1].reshape(grid.nnodes, tgrid.nt + 1)
+    if not np.allclose(data[..., d], tgrid.times, atol=1e-12):
+        raise ConfigError(f"field csv {path} times do not match the time grid")
+    vals = data[..., d + 1]
     return SpaceTimeField(grid, tgrid, vals)
 
 
@@ -239,6 +262,13 @@ def _base_manifest(cfg, params):
     }
 
 
+def _resolution(params, grid, tgrid):
+    """Stiffness numbers of the grids: absorption and memory rate per step,
+    absorption against the coarsest spatial cell."""
+    return {"An_dt": params.An * tgrid.dt, "mu_dt": params.mu * tgrid.dt,
+            "An_h2": params.An * max(grid.h) ** 2}
+
+
 def _report_dict(report):
     d = asdict(report)
     d["residual_history"] = [float(r) for r in d["residual_history"]]
@@ -254,6 +284,7 @@ def cmd_solve(cfg, out_dir):
     v = build_control(cfg, params, grid, tgrid)
     s = cfg["solver"]
     manifest = _base_manifest(cfg, params)
+    manifest["resolution"] = _resolution(params, grid, tgrid)
     t0 = time.perf_counter()
     u, report = solve_state(StateProblem(
         params=params, f=f, v=v, tol=s["tol"], max_picard=s["max_picard"]))
@@ -271,6 +302,7 @@ def cmd_optimize(cfg, out_dir):
     f = build_source(cfg, params, grid, tgrid)
     s = cfg["solver"]
     manifest = _base_manifest(cfg, params)
+    manifest["resolution"] = _resolution(params, grid, tgrid)
     t0 = time.perf_counter()
     result = solve_optimality(f, params, outer_tol=s["outer_tol"],
                               outer_max=s["outer_max"],

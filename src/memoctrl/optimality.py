@@ -118,8 +118,8 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
     converged = False
     iterations = 0
     stall = 0
+    v = control_from_adjoint(p, params)
     for iterations in range(1, outer_max + 1):
-        v = control_from_adjoint(p, params)
         u, rep_u = solve_state(StateProblem(
             params=params, f=f, v=v, tol=inner_tol, max_picard=max_picard))
         src = adjoint_source(u, params)
@@ -131,11 +131,12 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
         else:
             p = p_new
 
-        # residuals of both equations at the current iterates
-        v_now = control_from_adjoint(p, params)
+        # residuals of both equations at the current iterates; the control
+        # of the current adjoint also drives the next sweep's state solve
+        v = control_from_adjoint(p, params)
         u_int = u.values[interior]
         r_u = _cn_residual(ctx, u_int, _memory_values(ctx, u_int),
-                           _state_source(ctx, f, v_now))
+                           _state_source(ctx, f, v))
         r_p = _adjoint_residual(ctx, p.values[interior],
                                 src.values[interior])
         res = r_u + r_p

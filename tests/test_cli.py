@@ -1,13 +1,15 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from memoctrl.cli import (ConfigError, _sweep_point_config, field_from_csv,
-                          field_to_csv, load_config, main, normalize_config)
+from memoctrl.cli import (_CSV_BLOCK_NODES, ConfigError, _coordinate_text,
+                          _sweep_point_config, field_from_csv, field_to_csv,
+                          load_config, main, normalize_config)
 from memoctrl.fields import SpaceTimeField, SpatialGrid
-from memoctrl.params import Box
+from memoctrl.params import Box, make_params
 from memoctrl.timeops import TimeGrid
 
 from .conftest import run_fresh_python
@@ -87,6 +89,21 @@ def test_optimize_zero_source(tmp_path):
                                         "breakdown.json", "breakdown.csv"}
 
 
+def test_manifest_resolution_block(tmp_path):
+    cfg = write_cfg(tmp_path, TINY)
+    params = make_params(n=3, C0=1.0, N=1.0, T=1.0)
+    for command in ("solve", "optimize"):
+        out = tmp_path / command
+        assert main(["--config", cfg, "--out", str(out), command]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        res = manifest["resolution"]
+        assert res == pytest.approx({"An_dt": params.An / 16,
+                                     "mu_dt": params.mu / 16,
+                                     "An_h2": params.An / 16 ** 2},
+                                    rel=1e-15)
+    assert "rel_gap" in manifest["fp_identity"]
+
+
 def test_optimize_deterministic(tmp_path):
     overrides = {"nodes_per_axis": [17], "nt": 16,
                  "source": {"preset": "sine-product", "amplitude": 1.0}}
@@ -110,6 +127,125 @@ def test_field_csv_round_trip(tmp_path):
     assert header == "x,y,t,value"
     back = field_from_csv(path, grid, tgrid)
     assert np.array_equal(back.values, field.values)
+
+
+def line_by_line_field_to_csv(field, path):
+    """The writer field_to_csv replaced: one write per line; the reference."""
+    grid, tgrid = field.grid, field.tgrid
+    header = ",".join(("x", "y", "z")[:grid.dim]) + ",t,value"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(grid.nnodes):
+            coords = ",".join(repr(float(c)) for c in grid.coords[i])
+            for k, t in enumerate(tgrid.times):
+                fh.write(f"{coords},{float(t)!r},{float(field.values[i, k])!r}\n")
+
+
+# node counts below, at and above one write block, on 1-, 2- and 3-D grids
+WRITER_GRIDS = [
+    (Box((0.0,), (1.0,)), (5,)),
+    (Box((-1.0,), (2.3,)), (_CSV_BLOCK_NODES,)),
+    (Box((-1.0,), (2.3,)), (_CSV_BLOCK_NODES + 1,)),
+    (Box((0.0, 0.3), (1.0, 1.7)), (8, _CSV_BLOCK_NODES // 8)),
+    (Box((0.0, 0.3), (1.0, 1.7)), (9, 31)),
+    (Box((0.0, 0.0, -0.5), (1.0, 2.0, 0.5)), (3, 4, 5)),
+    (Box((0.0, 0.0, -0.5), (1.0, 2.0, 0.5)), (7, 7, 7)),
+]
+SPECIAL_VALUES = [0.0, -0.0, 5e-324, 1e16, 1e-5, 3.0, -7.0, 1e3, -1e16]
+
+
+@pytest.mark.parametrize("box, shape", WRITER_GRIDS,
+                         ids=[str(shape) for _, shape in WRITER_GRIDS])
+def test_field_csv_bytes_match_line_writer(tmp_path, box, shape):
+    grid = SpatialGrid(box, shape)
+    tgrid = TimeGrid(T=0.7, nt=6)
+    rng = np.random.default_rng(grid.nnodes)
+    vals = rng.normal(size=(grid.nnodes, tgrid.nt + 1))
+    vals[:, 0] = -0.0  # as in v0 at t = 0
+    flat = vals.ravel()
+    picks = rng.choice(flat.size, size=3 * len(SPECIAL_VALUES), replace=False)
+    flat[picks] = np.resize(SPECIAL_VALUES, picks.size)
+    field = SpaceTimeField(grid, tgrid, vals)
+    field_to_csv(field, tmp_path / "blocks.csv")
+    line_by_line_field_to_csv(field, tmp_path / "lines.csv")
+    text = (tmp_path / "blocks.csv").read_text()
+    assert all(f",{v!r}\n" in text for v in SPECIAL_VALUES)
+    assert text == (tmp_path / "lines.csv").read_text()
+
+
+def test_field_to_csv_memory_stays_per_block(tmp_path):
+    # a whole-file join of this 13^3 x 9 field peaks near 4.6 MB
+    grid = SpatialGrid(Box((0.0,) * 3, (1.0,) * 3), (13, 13, 13))
+    tgrid = TimeGrid(T=1.0, nt=8)
+    rng = np.random.default_rng(1)
+    field = SpaceTimeField(grid, tgrid,
+                           rng.normal(size=(grid.nnodes, tgrid.nt + 1)))
+    _coordinate_text.cache_clear()  # count the coordinate text too
+    tracemalloc.start()
+    try:
+        field_to_csv(field, tmp_path / "f.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def five_node_csv(tmp_path):
+    """Header and per-node row groups of a valid 5-node, nt = 4 field file."""
+    grid = SpatialGrid(Box((0.0,), (1.0,)), (5,))
+    tgrid = TimeGrid(T=1.0, nt=4)
+    vals = np.outer(np.sin(np.pi * grid.coords[:, 0]), 1.0 + tgrid.times)
+    path = tmp_path / "good.csv"
+    field_to_csv(SpaceTimeField(grid, tgrid, vals), path)
+    header, *rows = path.read_text().splitlines()
+    groups = [rows[i:i + tgrid.nt + 1]
+              for i in range(0, len(rows), tgrid.nt + 1)]
+    return grid, tgrid, header, groups
+
+
+def reversed_time(groups):
+    return [row for g in groups for row in g[::-1]]
+
+
+def wrong_t(groups):
+    return [f"{row.split(',')[0]},7.5,{row.split(',')[2]}"
+            for g in groups for row in g]
+
+
+def moved_node(groups):
+    # only a later row of node 2 carries node 3's coordinate
+    groups[2][3] = groups[3][3]
+    return sum(groups, [])
+
+
+def dropped_column(groups):
+    return [row.rsplit(",", 1)[0] for g in groups for row in g]
+
+
+def not_a_number(groups):
+    groups[1][2] = groups[1][2].replace(",", ",abc,", 1)
+    return sum(groups, [])
+
+
+BAD_ROWS = [(reversed_time, "times do not match"),
+            (wrong_t, "times do not match"),
+            (moved_node, "coordinates do not match"),
+            (dropped_column, "expected"),
+            (not_a_number, "cannot read")]
+
+
+@pytest.mark.parametrize("corrupt, message", BAD_ROWS,
+                         ids=[corrupt.__name__ for corrupt, _ in BAD_ROWS])
+def test_field_from_csv_rejects_bad_rows(tmp_path, corrupt, message):
+    grid, tgrid, header, groups = five_node_csv(tmp_path)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([header] + corrupt(groups)) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        field_from_csv(path, grid, tgrid)
+    cfg = write_cfg(tmp_path, {"nodes_per_axis": [5], "nt": 4,
+                               "source": {"csv": str(path)}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                 "optimize"]) == 1
 
 
 def test_source_from_csv(tmp_path):

@@ -88,6 +88,25 @@ def test_optimality_desk_run_structure():
     assert np.max(np.abs(result.v0.values[:, 0])) < 1e-12
 
 
+def test_optimality_one_control_lift_per_sweep(monkeypatch):
+    # each sweep's residual control also drives the next sweep's state solve
+    import memoctrl.optimality as opt
+    calls = []
+
+    def counted(p0, params):
+        calls.append(1)
+        return control_from_adjoint(p0, params)
+
+    params, grid, tgrid = setup_1d(nx=17, nt=16)
+    f = SpaceTimeField.from_function(grid, tgrid, lambda x, t: 1.0 + 0 * x)
+    monkeypatch.setattr(opt, "control_from_adjoint", counted)
+    result = solve_optimality(f, params)
+    assert result.converged and result.outer_iterations > 1
+    assert len(calls) == result.outer_iterations + 2
+    assert np.array_equal(result.v0.values,
+                          control_from_adjoint(result.p0, params).values)
+
+
 def test_control_routes_agree():
     params, grid, tgrid = setup_1d(nx=33, nt=48)
     rng = np.random.default_rng(8)
