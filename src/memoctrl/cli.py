@@ -229,8 +229,8 @@ def field_from_csv(path, grid, tgrid):
         raise ConfigError(f"field csv {path} coordinates do not match the grid")
     if not np.allclose(data[..., d], tgrid.times, atol=1e-12):
         raise ConfigError(f"field csv {path} times do not match the time grid")
-    vals = data[..., d + 1]
-    return SpaceTimeField(grid, tgrid, vals)
+    # a copy, so the whole loadtxt array is not kept alive by a strided view
+    return SpaceTimeField(grid, tgrid, data[..., d + 1].copy())
 
 
 def breakdown_to_files(breakdown, out_dir):
@@ -314,6 +314,7 @@ def cmd_optimize(cfg, out_dir):
         "iterations": result.outer_iterations,
         "final_residual": result.outer_residual,
         "converged": result.converged,
+        "picard_per_sweep": result.picard_per_sweep,
     }
     for name, field in (("u0", result.u0), ("p0", result.p0),
                         ("v0", result.v0)):

@@ -8,9 +8,11 @@ reversed trajectory with the state's terminal slice as initial data.
 The coupled system is solved by block Gauss-Seidel: sweep the state equation
 with the control source read off the current adjoint, then the adjoint
 equation with the fresh state, under-relaxing the adjoint update when the
-combined residual stalls.  The optimal control then comes out two ways --
-as -1/N times the lifted H(G*(p0)) map, and per node from the terminal-value
-second-order problem -- which must agree to solver round-off.
+combined residual stalls.  From the second sweep on, each Picard solve
+starts from the memory of the previous sweep's state or adjoint.  The
+optimal control then comes out two ways -- as -1/N times the lifted
+H(G*(p0)) map, and per node from the terminal-value second-order problem --
+which must agree to solver round-off.
 
 direct_minimize is the independent cross-check: descent on the evaluated
 cost functional itself with the adjoint-state gradient.  The raw L2 gradient
@@ -43,6 +45,7 @@ class OptimalityResult:
     outer_iterations: int
     outer_residual: float
     converged: bool
+    picard_per_sweep: dict
 
 
 def adjoint_source(u0, params):
@@ -64,19 +67,22 @@ def adjoint_source(u0, params):
     return SpaceTimeField(u0.grid, u0.tgrid, vals)
 
 
-def solve_adjoint(u0, params, source=None, *, tol=1e-8, max_picard=200):
+def solve_adjoint(u0, params, source=None, *, tol=1e-8, max_picard=200,
+                  guess=None):
     """Backward solve with terminal condition p(T) = u0(T).
 
     source overrides the default adjoint right side (useful for manufactured
-    problems); it must vanish where the Dirichlet condition holds.
+    problems); it must vanish where the Dirichlet condition holds.  guess, an
+    adjoint field on the same grids, seeds the Picard loop with its memory.
     """
     ctx = discretization(params, u0.grid, u0.tgrid)
     if source is None:
         source = adjoint_source(u0, params)
     F_rev = source.values[ctx.interior][:, ::-1].copy()
     ic = u0.values[ctx.interior, -1].copy()
+    q_guess = None if guess is None else guess.values[ctx.interior][:, ::-1]
     q_int, report = _solve_parabolic_memory(
-        ctx, F_rev, ic, tol=tol, max_picard=max_picard)
+        ctx, F_rev, ic, tol=tol, max_picard=max_picard, guess=q_guess)
     return _embed(ctx, q_int[:, ::-1]), report
 
 
@@ -101,7 +107,8 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
 
     The inner solves run a decade tighter than the outer tolerance so the
     outer residual is not dominated by inner noise; the loop stops early
-    when the residual stops improving.
+    when the residual stops improving.  Sweeps after the first warm-start
+    both Picard solves from the previous sweep's u and p.
     """
     if inner_tol is None:
         inner_tol = min(1e-8, outer_tol / 10.0)
@@ -110,7 +117,6 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
     interior = ctx.interior
 
     p = SpaceTimeField.zeros(grid, tgrid)
-    u = SpaceTimeField.zeros(grid, tgrid)
     rep_u = rep_p = None
     rho = 1.0
     best = None
@@ -118,13 +124,19 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
     converged = False
     iterations = 0
     stall = 0
+    picard = {"state": [], "adjoint": []}
     v = control_from_adjoint(p, params)
     for iterations in range(1, outer_max + 1):
+        warm = iterations > 1
         u, rep_u = solve_state(StateProblem(
-            params=params, f=f, v=v, tol=inner_tol, max_picard=max_picard))
+            params=params, f=f, v=v, tol=inner_tol, max_picard=max_picard),
+            guess=u if warm else None)
         src = adjoint_source(u, params)
         p_new, rep_p = solve_adjoint(u, params, source=src, tol=inner_tol,
-                                     max_picard=max_picard)
+                                     max_picard=max_picard,
+                                     guess=p if warm else None)
+        picard["state"].append(rep_u.iterations)
+        picard["adjoint"].append(rep_p.iterations)
         if rho < 1.0:
             p = SpaceTimeField(grid, tgrid,
                                rho * p_new.values + (1.0 - rho) * p.values)
@@ -159,7 +171,7 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
         u0=u, p0=p, v0=v0,
         reports={"state": rep_u, "adjoint": rep_p},
         outer_iterations=iterations, outer_residual=best_res,
-        converged=converged)
+        converged=converged, picard_per_sweep=picard)
 
 
 def extract_control_ode(p0, params):

@@ -7,13 +7,15 @@ The equation
 
 is anticausal (H looks at the future), so no pure time-marching scheme
 exists.  We iterate: freeze the memory field m = An*Bn*(H(u)*chi_omega +
-M(u)*chi_complement) from the previous iterate, march the remaining local
-parabolic problem with Crank-Nicolson, recompute m, under-relax on stalls,
-and stop when the half-step space-time residual -- the Crank-Nicolson
-equations evaluated with memory recomputed from the current iterate -- drops
-below tolerance.  The memory map is damped by the parabolic solve, and the
-iteration contracts for the desk-scale parameter ranges exercised here; the
-adaptive relaxation covers the rest.
+M(u)*chi_complement) from the previous iterate (or from a caller's guess of
+the solution, else zero), march the remaining local parabolic problem with
+Crank-Nicolson, recompute m, under-relax on stalls, and stop when the
+half-step space-time residual -- the Crank-Nicolson equations evaluated with
+memory recomputed from the current iterate -- drops below tolerance.  The
+march satisfies those equations exactly with the frozen m, so that residual
+is the half-step mean of the memory update.  The memory map is damped by the
+parabolic solve, and the iteration contracts for the desk-scale parameter
+ranges exercised here; the adaptive relaxation covers the rest.
 
 The march is exact: the Dirichlet Laplacian on the tensor grid is
 diagonalised by the orthonormal DST-I (Buzbee, Golub & Nielson, SIAM J.
@@ -168,8 +170,12 @@ def _march_cn(ctx, rhs, ic):
     hat[0] = ic.reshape(ctx.shape)
     hat[1:] = (0.5 * (rhs[:, :-1] + rhs[:, 1:])).T.reshape(hat[1:].shape)
     hat = dstn(hat, type=1, axes=axes, norm="ortho", overwrite_x=True)
+    # u_k = decay*u_{k-1} + gain*s_k, in place on the (ncols, modes) rows
+    rows = hat.reshape(ncols, -1)
+    rows[1:] *= ctx.gain.ravel()
+    decay, tmp = ctx.decay.ravel(), np.empty(rows.shape[1])
     for k in range(1, ncols):
-        hat[k] = ctx.decay * hat[k - 1] + ctx.gain * hat[k]
+        rows[k] += np.multiply(decay, rows[k - 1], out=tmp)
     hat = dstn(hat, type=1, axes=axes, norm="ortho", overwrite_x=True)
     u = hat.reshape(ncols, -1).T.copy()
     u[:, 0] = ic
@@ -184,16 +190,25 @@ def _cn_residual(ctx, u_int, m_int, F_int):
     r = ((u_int[:, 1:] - u_int[:, :-1]) / dt
          + 0.5 * (An * u_int + lap - total)[:, 1:]
          + 0.5 * (An * u_int + lap - total)[:, :-1])
-    return float(np.sqrt(dt * np.sum(ctx.ws_int[:, None] * r ** 2)))
+    return _space_time_norm(ctx, r)
 
 
-def _solve_parabolic_memory(ctx, F_int, ic_int, *, tol, max_picard):
+def _space_time_norm(ctx, r):
+    """sqrt(dt * sum over rows and half steps of ws * r^2)."""
+    return float(np.sqrt(ctx.dt * np.sum(ctx.ws_int[:, None] * r ** 2)))
+
+
+def _solve_parabolic_memory(ctx, F_int, ic_int, *, tol, max_picard,
+                            guess=None):
     """Shared fixed-point core: returns interior trajectory and a report.
 
-    F_int holds every memory-free source term on interior nodes.
+    F_int holds every memory-free source term on interior nodes.  The first
+    march uses the memory of the interior trajectory `guess` (zero memory
+    when it is None).  The residual is the half-step mean of the memory
+    update m_new - m, which the exact march makes equal to _cn_residual.
     """
-    m = np.zeros_like(F_int)
-    u = np.zeros_like(F_int)
+    m = (np.zeros_like(F_int) if guess is None
+         else _memory_values(ctx, guess))
     rho = 1.0
     best_u, best_res = None, np.inf
     history = []
@@ -204,7 +219,8 @@ def _solve_parabolic_memory(ctx, F_int, ic_int, *, tol, max_picard):
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("state iterate became non-finite")
         m_new = _memory_values(ctx, u)
-        res = _cn_residual(ctx, u, m_new, F_int)
+        dm = m_new - m
+        res = _space_time_norm(ctx, 0.5 * (dm[:, 1:] + dm[:, :-1]))
         history.append(res)
         if res < best_res:
             best_res, best_u = res, u
@@ -226,13 +242,17 @@ def _embed(ctx, interior_values):
     return SpaceTimeField(ctx.grid, ctx.tgrid, full)
 
 
-def solve_state(prob):
-    """Solve the limit state problem for (f, v); returns (u0, report)."""
+def solve_state(prob, guess=None):
+    """Solve the limit state problem for (f, v); returns (u0, report).
+
+    guess, a field on the same grids, seeds the Picard loop with its memory.
+    """
     ctx = prob.ctx
     ic = np.zeros(len(ctx.interior))
     u_int, report = _solve_parabolic_memory(
         ctx, _state_source(ctx, prob.f, prob.v), ic, tol=prob.tol,
-        max_picard=prob.max_picard)
+        max_picard=prob.max_picard,
+        guess=None if guess is None else guess.values[ctx.interior])
     return _embed(ctx, u_int), report
 
 

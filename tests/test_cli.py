@@ -9,6 +9,7 @@ from memoctrl.cli import (_CSV_BLOCK_NODES, ConfigError, _coordinate_text,
                           _sweep_point_config, field_from_csv, field_to_csv,
                           load_config, main, normalize_config)
 from memoctrl.fields import SpaceTimeField, SpatialGrid
+from memoctrl.optimality import solve_optimality
 from memoctrl.params import Box, make_params
 from memoctrl.timeops import TimeGrid
 
@@ -246,6 +247,44 @@ def test_field_from_csv_rejects_bad_rows(tmp_path, corrupt, message):
                                "source": {"csv": str(path)}})
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                  "optimize"]) == 1
+
+
+def test_optimize_manifest_picard_per_sweep(tmp_path):
+    cfg = write_cfg(tmp_path, {"nodes_per_axis": [17], "nt": 16})
+    out = tmp_path / "opt"
+    assert main(["--config", cfg, "--out", str(out), "optimize"]) == 0
+    outer = json.loads((out / "manifest.json").read_text())["reports"]["outer"]
+    picard = outer["picard_per_sweep"]
+    n = outer["iterations"]
+    assert n > 1
+    assert len(picard["state"]) == len(picard["adjoint"]) == n
+    # sweeps after the first start from the previous sweep's solution
+    assert sum(picard["state"]) < n * picard["state"][0]
+
+
+def test_field_from_csv_returns_owned_values(tmp_path):
+    cfg0 = normalize_config(dict(TINY))
+    from memoctrl.cli import build_grids, build_params
+    params = build_params(cfg0)
+    grid, tgrid = build_grids(cfg0, params)
+    field = SpaceTimeField.from_function(grid, tgrid,
+                                         lambda x, t: 1.0 + np.sin(x) * t)
+    path = tmp_path / "f.csv"
+    field_to_csv(field, path)
+    back = field_from_csv(path, grid, tgrid)
+    assert back.values.flags.owndata and back.values.flags.c_contiguous
+    assert np.array_equal(back.values, field.values)
+
+    # a strided source solves to the same fields as a contiguous one
+    wide = np.zeros(field.values.shape + (3,))
+    wide[..., 2] = field.values
+    strided = SpaceTimeField(grid, tgrid, wide[..., 2])
+    assert not strided.values.flags.c_contiguous
+    a = solve_optimality(strided, params)
+    b = solve_optimality(back, params)
+    for name in ("u0", "p0", "v0"):
+        assert np.array_equal(getattr(a, name).values,
+                              getattr(b, name).values)
 
 
 def test_source_from_csv(tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.fft import dstn
 
 from memoctrl import (Box, SpaceTimeField, SpatialGrid, StateProblem,
                       TimeGrid, lift_timeop, make_params, omega_mask,
-                      residual_state, solve_linearized, solve_state)
+                      residual_state, solve_adjoint, solve_linearized,
+                      solve_state)
+from memoctrl.state import _march_cn, discretization
 
 from .oracles import dense_state_solve
 
@@ -235,3 +238,77 @@ def test_dense_oracle_2d():
         dense = dense_state_solve(params, grid, tgrid, f.values,
                                   np.zeros_like(f.values))
         assert np.max(np.abs(u.values[grid.interior_idx] - dense)) < 1e-6
+
+
+def _march_three_term(ctx, rhs, ic):
+    """The per-mode march as one three-term update per step (reference)."""
+    ncols = rhs.shape[1]
+    axes = tuple(range(1, len(ctx.shape) + 1))
+    hat = np.empty((ncols,) + ctx.shape)
+    hat[0] = ic.reshape(ctx.shape)
+    hat[1:] = (0.5 * (rhs[:, :-1] + rhs[:, 1:])).T.reshape(hat[1:].shape)
+    hat = dstn(hat, type=1, axes=axes, norm="ortho", overwrite_x=True)
+    for k in range(1, ncols):
+        hat[k] = ctx.decay * hat[k - 1] + ctx.gain * hat[k]
+    hat = dstn(hat, type=1, axes=axes, norm="ortho", overwrite_x=True)
+    u = hat.reshape(ncols, -1).T.copy()
+    u[:, 0] = ic
+    return u
+
+
+GRIDS = [
+    (Box((0.0,), (1.0,)), Box((0.25,), (0.75,)), (17,)),
+    (Box((0.0, 0.0), (2.0, 1.0)), Box((0.5, 0.25), (1.5, 0.75)), (7, 5)),
+    (Box((0.0,) * 3, (1.0,) * 3), Box((0.25,) * 3, (0.75,) * 3), (5, 4, 5)),
+]
+
+
+def grid_case(domain, omega, shape, nt=8):
+    params = make_params(n=3, C0=1.0, N=1.0, T=1.0, sim_dim=domain.dim,
+                         domain_box=domain, omega_box=omega)
+    return params, SpatialGrid(params.domain_box, shape), TimeGrid(T=1.0,
+                                                                   nt=nt)
+
+
+@pytest.mark.parametrize("domain, omega, shape", GRIDS)
+def test_march_matches_three_term_recurrence(domain, omega, shape):
+    params, grid, tgrid = grid_case(domain, omega, shape, nt=12)
+    ctx = discretization(params, grid, tgrid)
+    rng = np.random.default_rng(7)
+    rhs = rng.normal(size=(len(ctx.interior), tgrid.nt + 1))
+    ic = rng.normal(size=len(ctx.interior))
+    assert np.array_equal(_march_cn(ctx, rhs, ic),
+                          _march_three_term(ctx, rhs, ic))
+
+
+@pytest.mark.parametrize("domain, omega, shape", GRIDS)
+def test_picard_residual_matches_state_residual(domain, omega, shape):
+    # the loop's residual is the memory update; residual_state applies
+    # the Laplacian to the returned field
+    params, grid, tgrid = grid_case(domain, omega, shape)
+    f = SpaceTimeField.from_function(
+        grid, tgrid, lambda *a: 1.0 + np.cos(3.0 * a[0] + a[-1]))
+    prob = StateProblem(params=params, f=f, tol=1e-8)
+    u, report = solve_state(prob)
+    assert report.converged and report.iterations > 1
+    assert report.final_residual == pytest.approx(residual_state(u, prob),
+                                                  rel=1e-6)
+
+
+@pytest.mark.parametrize("domain, omega, shape", GRIDS)
+def test_warm_start_at_solution_takes_one_iteration(domain, omega, shape):
+    params, grid, tgrid = grid_case(domain, omega, shape)
+    f = SpaceTimeField.from_function(
+        grid, tgrid, lambda *a: 1.0 + np.sin(2.0 * a[0] - a[-1]))
+    prob = StateProblem(params=params, f=f, tol=1e-11)
+    u_star, cold = solve_state(prob)
+    u, warm = solve_state(prob, guess=u_star)
+    assert cold.iterations > 1 and warm.converged
+    assert warm.iterations == 1
+    assert np.max(np.abs(u.values - u_star.values)) < 1e-10
+
+    p_star, cold = solve_adjoint(u_star, params, tol=1e-11)
+    p, warm = solve_adjoint(u_star, params, tol=1e-11, guess=p_star)
+    assert cold.iterations > 1 and warm.converged
+    assert warm.iterations == 1
+    assert np.max(np.abs(p.values - p_star.values)) < 1e-10
