@@ -3,8 +3,9 @@
 The equation carries two zeroth-order memory terms: the H-type relaxation on
 the controlled region and the M-type relaxation on its complement.  Because
 the H map looks at the whole future, the solve iterates: freeze the memory
-field, march Crank-Nicolson, recompute, repeat.  The residual history below
-shows the fixed point contracting by roughly an order of magnitude per sweep.
+field, march Crank-Nicolson, recompute, repeat, with Anderson acceleration
+over the memory iterates.  The residual history below shows it shrinking by
+a factor of five or more per iteration.
 """
 
 import numpy as np
@@ -21,11 +22,10 @@ f = SpaceTimeField.from_function(
 prob = StateProblem(params=params, f=f)
 u, report = solve_state(prob)
 
-print(f"converged: {report.converged} after {report.iterations} sweeps "
-      f"(relaxation factor {report.relaxation})")
+print(f"converged: {report.converged} after {report.iterations} iterations")
 print("residual history:")
 for i, r in enumerate(report.residual_history, start=1):
-    print(f"  sweep {i:2d}: {r:.3e}")
+    print(f"  iteration {i:2d}: {r:.3e}")
 print(f"a-posteriori residual: {residual_state(u, prob):.3e}")
 
 w = omega_mask(grid, params)

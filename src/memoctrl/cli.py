@@ -96,6 +96,8 @@ def normalize_config(raw):
         raise ConfigError("need at least 3 nodes per axis")
     if int(cfg["nt"]) < 2:
         raise ConfigError("need at least 2 time intervals")
+    if any(int(cfg["solver"][k]) < 1 for k in ("max_picard", "outer_max")):
+        raise ConfigError("solver max_picard and outer_max must be >= 1")
     nnodes = int(np.prod([int(m) for m in nodes]))
     est_mb = nnodes * (int(cfg["nt"]) + 1) * _PERSISTENT_FIELDS * 8 / 2 ** 20
     if est_mb > cfg["memory_cap_mb"]:
@@ -269,6 +271,14 @@ def _resolution(params, grid, tgrid):
             "An_h2": params.An * max(grid.h) ** 2}
 
 
+def _exit_code(converged, loop, cap, residual):
+    """0 for a converged loop; else 2, with a stderr line saying why."""
+    if not converged:
+        print(f"solver error: {loop} reached {cap} without meeting its "
+              f"tolerance (final residual {residual:.3e})", file=sys.stderr)
+    return 0 if converged else 2
+
+
 def _report_dict(report):
     d = asdict(report)
     d["residual_history"] = [float(r) for r in d["residual_history"]]
@@ -293,7 +303,8 @@ def cmd_solve(cfg, out_dir):
     field_to_csv(u, out_dir / "u0.csv")
     manifest["outputs"].append("u0.csv")
     _write_manifest(out_dir, manifest)
-    return 0 if report.converged else 2
+    return _exit_code(report.converged, "state Picard loop",
+                      f"max_picard = {s['max_picard']}", report.final_residual)
 
 
 def cmd_optimize(cfg, out_dir):
@@ -329,7 +340,8 @@ def cmd_optimize(cfg, out_dir):
         "rel_gap": abs(lhs - rhs) / max(abs(rhs), 1e-300),
     }
     _write_manifest(out_dir, manifest)
-    return 0 if result.converged else 2
+    return _exit_code(result.converged, "outer sweep loop",
+                      f"outer_max = {s['outer_max']}", result.outer_residual)
 
 
 def cmd_verify(cfg, out_dir, seed, tamper_an=1.0):

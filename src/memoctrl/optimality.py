@@ -5,14 +5,13 @@ reversing the time axis swaps every operator for its adjoint partner, so the
 backward solve reuses the forward Picard/Crank-Nicolson core verbatim on the
 reversed trajectory with the state's terminal slice as initial data.
 
-The coupled system is solved by block Gauss-Seidel: sweep the state equation
-with the control source read off the current adjoint, then the adjoint
-equation with the fresh state, under-relaxing the adjoint update when the
-combined residual stalls.  From the second sweep on, each Picard solve
-starts from the memory of the previous sweep's state or adjoint.  The
-optimal control then comes out two ways -- as -1/N times the lifted
-H(G*(p0)) map, and per node from the terminal-value second-order problem --
-which must agree to solver round-off.
+The coupled system is solved by block Gauss-Seidel sweeps -- state solve,
+adjoint solve, new control lifted off the adjoint -- each an affine map on
+the control that state._anderson accelerates.  From the second sweep on,
+each Picard solve starts from the memory of the previous sweep's state or
+adjoint.  The optimal control then comes out two ways -- as -1/N times the
+lifted H(G*(p0)) map, and per node from the terminal-value second-order
+problem -- which must agree to solver round-off.
 
 direct_minimize is the independent cross-check: descent on the evaluated
 cost functional itself with the adjoint-state gradient.  The raw L2 gradient
@@ -30,9 +29,9 @@ from scipy.linalg import cho_factor, cho_solve, solve_banded
 
 from .cost import evaluate_J0
 from .fields import SpaceTimeField, lift_timeop
-from .state import (StateProblem, _cn_residual, _embed, _memory_values,
-                    _solve_parabolic_memory, _state_source, discretization,
-                    solve_state)
+from .state import (StateProblem, _anderson, _cn_residual, _embed,
+                    _memory_values, _solve_parabolic_memory, _state_source,
+                    discretization, solve_state)
 from .timeops import trapezoid_weights
 
 
@@ -103,74 +102,48 @@ def control_from_adjoint(p0, params):
 
 def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
                      inner_tol=None, max_picard=200):
-    """Gauss-Seidel sweeps on the coupled state/adjoint system.
+    """Anderson-accelerated Gauss-Seidel sweeps on the coupled system.
 
-    The inner solves run a decade tighter than the outer tolerance so the
-    outer residual is not dominated by inner noise; the loop stops early
-    when the residual stops improving.  Sweeps after the first warm-start
-    both Picard solves from the previous sweep's u and p.
+    The iterate is the control's controlled-region values; a sweep maps it
+    to the control lifted off the adjoint of its state, and its residual is
+    that of both equations at the sweep's u and p.  The inner solves run a
+    decade tighter than the outer tolerance, and from the second sweep on
+    start from the previous sweep's u and p.
     """
     if inner_tol is None:
         inner_tol = min(1e-8, outer_tol / 10.0)
     grid, tgrid = f.grid, f.tgrid
     ctx = discretization(params, grid, tgrid)
-    interior = ctx.interior
-
-    p = SpaceTimeField.zeros(grid, tgrid)
-    rep_u = rep_p = None
-    rho = 1.0
-    best = None
-    best_res = np.inf
-    converged = False
-    iterations = 0
-    stall = 0
+    interior, w = ctx.interior, ctx.omega
     picard = {"state": [], "adjoint": []}
-    v = control_from_adjoint(p, params)
-    for iterations in range(1, outer_max + 1):
-        warm = iterations > 1
+    u = p = None
+
+    def sweep(v_w):
+        nonlocal u, p
+        v = SpaceTimeField.zeros(grid, tgrid)
+        v.values[w] = v_w
         u, rep_u = solve_state(StateProblem(
             params=params, f=f, v=v, tol=inner_tol, max_picard=max_picard),
-            guess=u if warm else None)
+            guess=u)
         src = adjoint_source(u, params)
-        p_new, rep_p = solve_adjoint(u, params, source=src, tol=inner_tol,
-                                     max_picard=max_picard,
-                                     guess=p if warm else None)
+        p, rep_p = solve_adjoint(u, params, source=src, tol=inner_tol,
+                                 max_picard=max_picard, guess=p)
         picard["state"].append(rep_u.iterations)
         picard["adjoint"].append(rep_p.iterations)
-        if rho < 1.0:
-            p = SpaceTimeField(grid, tgrid,
-                               rho * p_new.values + (1.0 - rho) * p.values)
-        else:
-            p = p_new
-
-        # residuals of both equations at the current iterates; the control
-        # of the current adjoint also drives the next sweep's state solve
-        v = control_from_adjoint(p, params)
+        # residuals of both equations; the state source is p's new control
+        v_new = control_from_adjoint(p, params)
         u_int = u.values[interior]
         r_u = _cn_residual(ctx, u_int, _memory_values(ctx, u_int),
-                           _state_source(ctx, f, v))
+                           _state_source(ctx, f, v_new))
         r_p = _adjoint_residual(ctx, p.values[interior],
                                 src.values[interior])
-        res = r_u + r_p
-        if res < 0.95 * best_res:
-            stall = 0
-        else:
-            stall += 1
-        if res < best_res:
-            best_res, best = res, (u, p)
-        elif res > best_res and rho > 0.25:
-            rho = max(0.25, rho / 2.0)
-        if res <= outer_tol:
-            converged = True
-            break
-        if stall >= 3:
-            break
-    u, p = best
-    v0 = control_from_adjoint(p, params)
+        return v_new.values[w], r_u + r_p, (u, p, v_new, rep_u, rep_p)
+
+    (u, p, v, rep_u, rep_p), iterations, history, converged = _anderson(
+        sweep, np.zeros_like(f.values[w]), tol=outer_tol, max_iter=outer_max)
     return OptimalityResult(
-        u0=u, p0=p, v0=v0,
-        reports={"state": rep_u, "adjoint": rep_p},
-        outer_iterations=iterations, outer_residual=best_res,
+        u0=u, p0=p, v0=v, reports={"state": rep_u, "adjoint": rep_p},
+        outer_iterations=iterations, outer_residual=history[-1],
         converged=converged, picard_per_sweep=picard)
 
 
@@ -292,11 +265,11 @@ def direct_minimize(f, params, v_init=None, *, grad_tol=1e-9, max_iter=100,
                         iterations=it)
             break
         v, u = v_try, u_try
-        stalled = J - J_try <= 1e-15 * max(1.0, abs(J))
+        flat = J - J_try <= 1e-15 * max(1.0, abs(J))
         J = J_try
         history.append(J)
         info["iterations"] = it
-        if stalled:
-            info.update(converged=True, reason="stalled")
+        if flat:
+            info.update(converged=True, reason="flat_cost")
             break
     return v, history, info

@@ -6,16 +6,15 @@ The equation
                   + An*(u - Bn*M(u))*chi_complement = f + An*Bn*v*chi_omega
 
 is anticausal (H looks at the future), so no pure time-marching scheme
-exists.  We iterate: freeze the memory field m = An*Bn*(H(u)*chi_omega +
-M(u)*chi_complement) from the previous iterate (or from a caller's guess of
-the solution, else zero), march the remaining local parabolic problem with
-Crank-Nicolson, recompute m, under-relax on stalls, and stop when the
-half-step space-time residual -- the Crank-Nicolson equations evaluated with
-memory recomputed from the current iterate -- drops below tolerance.  The
-march satisfies those equations exactly with the frozen m, so that residual
-is the half-step mean of the memory update.  The memory map is damped by the
-parabolic solve, and the iteration contracts for the desk-scale parameter
-ranges exercised here; the adaptive relaxation covers the rest.
+exists.  We iterate on the memory field m = An*Bn*(H(u)*chi_omega +
+M(u)*chi_complement), from a caller's guess of the solution or zero: march
+the local parabolic problem with Crank-Nicolson under the frozen m, recompute
+m, and stop when the half-step space-time residual -- the Crank-Nicolson
+equations with memory recomputed from the iterate -- drops below tolerance.
+The exact march makes that residual the half-step mean of the memory update.
+The map m -> m_new is affine, and _anderson (shared with the coupled sweep)
+accelerates it: on an affine map Anderson acceleration matches GMRES step
+for step (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011).
 
 The march is exact: the Dirichlet Laplacian on the tensor grid is
 diagonalised by the orthonormal DST-I (Buzbee, Golub & Nielson, SIAM J.
@@ -105,7 +104,6 @@ class SolveReport:
     iterations: int
     final_residual: float
     converged: bool
-    relaxation: float
     residual_history: list = field(default_factory=list)
 
 
@@ -198,6 +196,37 @@ def _space_time_norm(ctx, r):
     return float(np.sqrt(ctx.dt * np.sum(ctx.ws_int[:, None] * r ** 2)))
 
 
+_ANDERSON_DEPTH = 5
+
+
+def _anderson(step, x0, *, tol, max_iter):
+    """Anderson-accelerated fixed-point iteration x = g(x).
+
+    step(x) returns (g(x), residual at x, output at x).  The next x is g(x)
+    less the least-squares fit of g(x) - x by its last _ANDERSON_DEPTH
+    differences, applied to the matching differences of g.  Returns (output,
+    iterations, residual history, converged) at the first x whose residual
+    is <= tol, or at the last x when max_iter steps do not get there.
+    """
+    x = x0.ravel()
+    dF, dG = np.empty((2, _ANDERSON_DEPTH, x.size))
+    history = []
+    for it in range(max_iter):
+        g, res, out = step(x.reshape(x0.shape))
+        history.append(res)
+        if res <= tol:
+            return out, it + 1, history, True
+        g = g.ravel()
+        f = g - x
+        if it:
+            j = (it - 1) % _ANDERSON_DEPTH
+            dF[j], dG[j] = f - f_prev, g - g_prev
+        f_prev, g_prev = f, g
+        k = min(it, _ANDERSON_DEPTH)
+        x = g - np.linalg.lstsq(dF[:k].T, f, rcond=None)[0] @ dG[:k]
+    return out, max_iter, history, False
+
+
 def _solve_parabolic_memory(ctx, F_int, ic_int, *, tol, max_picard,
                             guess=None):
     """Shared fixed-point core: returns interior trajectory and a report.
@@ -207,33 +236,18 @@ def _solve_parabolic_memory(ctx, F_int, ic_int, *, tol, max_picard,
     when it is None).  The residual is the half-step mean of the memory
     update m_new - m, which the exact march makes equal to _cn_residual.
     """
-    m = (np.zeros_like(F_int) if guess is None
-         else _memory_values(ctx, guess))
-    rho = 1.0
-    best_u, best_res = None, np.inf
-    history = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_picard + 1):
+    def step(m):
         u = _march_cn(ctx, F_int + m, ic_int)
         if not np.all(np.isfinite(u)):
             raise FloatingPointError("state iterate became non-finite")
         m_new = _memory_values(ctx, u)
         dm = m_new - m
-        res = _space_time_norm(ctx, 0.5 * (dm[:, 1:] + dm[:, :-1]))
-        history.append(res)
-        if res < best_res:
-            best_res, best_u = res, u
-        elif res > best_res and rho > 0.25:
-            rho = max(0.25, rho / 2.0)
-        if res <= tol:
-            converged = True
-            break
-        m = rho * m_new + (1.0 - rho) * m
-    report = SolveReport(iterations=iterations, final_residual=best_res,
-                         converged=converged, relaxation=rho,
-                         residual_history=history)
-    return best_u, report
+        return m_new, _space_time_norm(ctx, 0.5 * (dm[:, 1:] + dm[:, :-1])), u
+
+    m0 = np.zeros_like(F_int) if guess is None else _memory_values(ctx, guess)
+    u, iterations, history, converged = _anderson(
+        step, m0, tol=tol, max_iter=max_picard)
+    return u, SolveReport(iterations, history[-1], converged, history)
 
 
 def _embed(ctx, interior_values):

@@ -422,6 +422,40 @@ def test_solver_breakdown_exit_2(tmp_path, capsys, monkeypatch):
     assert all(r["error"].startswith("solver error: ") for r in rows)
 
 
+def test_optimize_outer_cap_exit_2_with_reason(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"nodes_per_axis": [17], "nt": 16,
+                               "solver": {"outer_max": 2}})
+    out = tmp_path / "o"
+    code = main(["--config", cfg, "--out", str(out), "optimize"])
+    captured = capsys.readouterr()
+    assert code == 2
+    outer = json.loads((out / "manifest.json").read_text())["reports"]["outer"]
+    assert outer["converged"] is False and outer["iterations"] == 2
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("solver error: outer sweep loop reached "
+                               "outer_max = 2")
+    assert f"{outer['final_residual']:.3e}" in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_solve_picard_cap_exit_2_with_reason(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"nodes_per_axis": [17], "nt": 16,
+                               "solver": {"max_picard": 1}})
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "solve"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("solver error: state Picard loop reached "
+                                   "max_picard = 1")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("key", ["max_picard", "outer_max"])
+def test_config_rejects_zero_iteration_cap(key):
+    with pytest.raises(ConfigError):
+        normalize_config({"solver": {key: 0}})
+
+
 def test_usage_error_exit_1(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     # unknown sweep axis is a usage/validation error, never anything but 1

@@ -6,7 +6,7 @@ from memoctrl import (Box, SpaceTimeField, SpatialGrid, StateProblem,
                       TimeGrid, lift_timeop, make_params, omega_mask,
                       residual_state, solve_adjoint, solve_linearized,
                       solve_state)
-from memoctrl.state import _march_cn, discretization
+from memoctrl.state import _anderson, _march_cn, discretization
 
 from .oracles import dense_state_solve
 
@@ -114,7 +114,6 @@ def test_picard_monotone_after_burn_in():
     _, report = solve_state(StateProblem(params=params, f=f, tol=1e-10))
     hist = report.residual_history
     assert all(b < a for a, b in zip(hist[2:], hist[3:]))
-    assert report.relaxation == 1.0  # no under-relaxation needed at desk scale
 
 
 def test_affinity_of_state_map():
@@ -312,3 +311,41 @@ def test_warm_start_at_solution_takes_one_iteration(domain, omega, shape):
     assert cold.iterations > 1 and warm.converged
     assert warm.iterations == 1
     assert np.max(np.abs(p.values - p_star.values)) < 1e-10
+
+
+def affine_map(seed, n=40):
+    """x -> A x + b with eigenvalues 0.96, 0.9, -0.8 and 37 in [-0.1, 0.1].
+
+    Returns (A, b, step), step in the form _anderson iterates.
+    """
+    rng = np.random.default_rng(seed)
+    eig = np.concatenate([[0.96, 0.9, -0.8], rng.uniform(-0.1, 0.1, n - 3)])
+    V = rng.normal(size=(n, n))
+    A = V @ np.diag(eig) @ np.linalg.inv(V)
+    b = rng.normal(size=n)
+
+    def step(x):
+        g = A @ x + b
+        return g, float(np.linalg.norm(g - x)), x
+
+    return A, b, step
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_anderson_solves_affine_fixed_point(seed):
+    # plain iteration needs about 600 steps at this tolerance
+    A, b, step = affine_map(seed)
+    x, iterations, history, converged = _anderson(
+        step, np.zeros(len(b)), tol=1e-10, max_iter=30)
+    assert converged and iterations <= 30
+    assert len(history) == iterations and history[-1] <= 1e-10
+    exact = np.linalg.solve(np.eye(len(b)) - A, b)
+    assert np.max(np.abs(x - exact)) <= 1e-10 * np.max(np.abs(exact))
+
+
+def test_anderson_reports_iteration_cap():
+    _, b, step = affine_map(0)
+    _, iterations, history, converged = _anderson(
+        step, np.zeros(len(b)), tol=1e-10, max_iter=3)
+    assert not converged
+    assert iterations == 3 and len(history) == 3
