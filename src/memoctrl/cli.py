@@ -48,8 +48,11 @@ CONFIG_EXAMPLE = {
     "memory_cap_mb": 512,
 }
 
-# fields held simultaneously during an optimize run, for the memory estimate
-_PERSISTENT_FIELDS = 16
+# nodes x (nt + 1) float64 fields held at once during an optimize run, for
+# the memory estimate: the tracemalloc peak of a whole CLI optimize call was
+# 38.7 fields on 1-D 65 x 128, 37.2 on 129 x 256, 25.3 on 3-D 13^3 x 8 and
+# 25.9 on 17^3 x 16 (caches cold; warm 37.8, 37.1, 23.7, 24.9)
+_PERSISTENT_FIELDS = 40
 
 # what a solver raises when it breaks down; reported as exit 2
 _SOLVER_ERRORS = (RuntimeError, FloatingPointError, np.linalg.LinAlgError)

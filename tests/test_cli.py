@@ -56,6 +56,28 @@ def test_memory_cap_guard():
         normalize_config({"nodes_per_axis": [100000], "nt": 10000})
 
 
+@pytest.mark.parametrize("nodes, nt", [([65], 128), ([13, 13, 13], 8)],
+                         ids=["1d-65x128", "3d-13^3x8"])
+def test_optimize_memory_within_estimate(tmp_path, nodes, nt):
+    # the guard's estimate must cover what an optimize call really allocates
+    dim = len(nodes)
+    raw = {"sim_dim": dim, "nodes_per_axis": nodes, "nt": nt,
+           "domain_box": {"lo": [0.0] * dim, "hi": [1.0] * dim},
+           "omega_box": {"lo": [0.25] * dim, "hi": [0.75] * dim},
+           "source": {"preset": "sine-product", "amplitude": 1.0}}
+    cfg = write_cfg(tmp_path, raw)
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"),
+                     "optimize"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a cap just below the measured peak must be refused by the estimate
+    with pytest.raises(ConfigError, match="exceeds cap"):
+        normalize_config(dict(raw, memory_cap_mb=peak / 2 ** 20))
+
+
 def test_solve_zero_source(tmp_path):
     cfg = write_cfg(tmp_path, TINY)
     out = tmp_path / "run"
@@ -479,3 +501,17 @@ def test_cli_import_does_not_load_scipy_signal():
         "import sys, memoctrl.cli; print('scipy.signal' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_and_capacity_oracle_do_not_load_scipy_integrate():
+    # scipy.integrate pulls in scipy.optimize, scipy.spatial and more: about
+    # 0.26 s of import time and 17 MB of RSS in every process.  The oracle
+    # runs before the check, so a lazy import inside it fails this test too.
+    out = run_fresh_python(
+        "import sys, memoctrl, memoctrl.cli\n"
+        "memoctrl.capacity_limit(3, 1.0)\n"
+        "print([m for m in ('scipy.integrate', 'scipy.optimize',\n"
+        "                   'scipy.spatial', 'scipy.interpolate')\n"
+        "       if m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

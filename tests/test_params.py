@@ -95,6 +95,25 @@ def test_An_matches_capacity_oracle_within_1_percent(n, C0):
     assert abs(limit - p.An) <= 0.01 * p.An
 
 
+def test_capacity_oracle_matches_closed_form_annulus_energy():
+    # the closed-form energy lives here only; the oracle must never use it
+    checked = 0
+    for n in (3, 4, 5, 6, 8, 12):
+        sigma = sphere_area(n)
+        for C0 in (0.01, 1.0, 10.0):
+            for eps in (4e-2, 2e-2, 1e-2, 4e-3, 2e-3, 1e-3, 4e-4, 2e-4, 1e-4):
+                a, R = C0 * eps ** (n / (n - 2)), eps / 4.0
+                if a >= R:
+                    continue  # collapsed annulus: the oracle refuses it
+                exact = (eps ** -n * sigma * (n - 2)
+                         / (a ** (2 - n) - R ** (2 - n)))
+                (value,) = cell_capacity_oracle(n, C0, [eps])
+                assert value == pytest.approx(exact, rel=1e-12, abs=0.0), \
+                    (n, C0, eps)
+                checked += 1
+    assert checked == 125
+
+
 def test_oracle_sequence_converges_second_order_in_eps():
     eps = [4e-2, 2e-2, 1e-2]
     vals = np.array(cell_capacity_oracle(3, 1.0, eps))
