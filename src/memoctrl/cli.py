@@ -75,38 +75,61 @@ def load_config(path):
     return normalize_config(raw)
 
 
+def _real(value, what):
+    """value, if it is a finite JSON number (an int beyond float range is not)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return value
+
+
+def _count(value, what, least):
+    """value as an int, if it is a whole JSON number >= least."""
+    if not float(_real(value, what)).is_integer() or value < least:
+        raise ConfigError(f"{what} must be a whole number >= {least}, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def normalize_config(raw):
     """Fill defaults, validate every invariant, and return the canonical dict."""
     cfg = default_config()
     for key, val in raw.items():
         if key not in cfg:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(cfg[key], dict) and key in ("solver",):
+        if isinstance(cfg[key], dict) and not isinstance(val, dict):
+            raise ConfigError(f"{key} must be a JSON object")
+        if key == "solver":
             bad = set(val) - set(cfg[key])
             if bad:
                 raise ConfigError(f"unknown solver options {sorted(bad)}")
             cfg[key].update(val)
         else:
             cfg[key] = copy.deepcopy(val)
+    for key in ("domain_box", "omega_box"):
+        if set(cfg[key]) != {"lo", "hi"}:
+            raise ConfigError(f"{key} needs the keys 'lo' and 'hi' only")
     try:
         params = build_params(cfg)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     nodes = cfg["nodes_per_axis"]
-    if len(nodes) != cfg["sim_dim"]:
+    if not isinstance(nodes, list) or len(nodes) != cfg["sim_dim"]:
         raise ConfigError("nodes_per_axis must list one count per axis")
-    if any(int(m) < 3 for m in nodes):
-        raise ConfigError("need at least 3 nodes per axis")
-    if int(cfg["nt"]) < 2:
-        raise ConfigError("need at least 2 time intervals")
-    if any(int(cfg["solver"][k]) < 1 for k in ("max_picard", "outer_max")):
-        raise ConfigError("solver max_picard and outer_max must be >= 1")
-    nnodes = int(np.prod([int(m) for m in nodes]))
-    est_mb = nnodes * (int(cfg["nt"]) + 1) * _PERSISTENT_FIELDS * 8 / 2 ** 20
-    if est_mb > cfg["memory_cap_mb"]:
+    cfg["nodes_per_axis"] = [_count(m, "nodes per axis", 3) for m in nodes]
+    cfg["nt"] = _count(cfg["nt"], "nt (time intervals)", 2)
+    s = cfg["solver"]
+    for k in ("max_picard", "outer_max"):
+        s[k] = _count(s[k], f"solver {k}", 1)
+    for k in ("tol", "outer_tol"):
+        if _real(s[k], f"solver {k}") <= 0:
+            raise ConfigError(f"solver {k} must be positive, got {s[k]!r}")
+    cap = _real(cfg["memory_cap_mb"], "memory_cap_mb")
+    est_mb = (int(np.prod(cfg["nodes_per_axis"])) * (cfg["nt"] + 1)
+              * _PERSISTENT_FIELDS * 8 / 2 ** 20)
+    if est_mb > cap:
         raise ConfigError(
             f"estimated memory {est_mb:.0f} MB exceeds cap "
-            f"{cfg['memory_cap_mb']} MB (grid too large)")
+            f"{cap} MB (grid too large)")
     src = cfg["source"]
     if "csv" in src:
         if not Path(src["csv"]).exists():
@@ -116,7 +139,9 @@ def normalize_config(raw):
     if cfg["control"].get("preset") not in ("zero", "ramp", "sine"):
         raise ConfigError(f"unknown control preset "
                           f"{cfg['control'].get('preset')!r}")
-    grid = SpatialGrid(params.domain_box, tuple(int(m) for m in nodes))
+    for key in ("source", "control"):
+        _real(cfg[key].get("amplitude", 1.0), f"{key} amplitude")
+    grid = SpatialGrid(params.domain_box, tuple(cfg["nodes_per_axis"]))
     omega_mask(grid, params)  # raises if omega grabs a boundary node
     return cfg
 

@@ -14,7 +14,9 @@ march all steps as one banded forward substitution (see _rk4_affine).
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .timeops import relax_backward_values, relax_forward_values
+from .fields import laplacian_matrix, omega_mask
+from .timeops import (apply_h_values, bvp_gstar_h_values, bvp_h_gstar_values,
+                      relax_backward_values, relax_forward_values)
 
 
 def rk4_march(f, y0, t0, dt, nsteps):
@@ -71,10 +73,7 @@ def _rk4_affine(K, b, src_fn, y0, T, nsteps):
 
 
 def rk4_relax_forward(phi_fn, rate, T, nt, sub=4):
-    """Dense integration of y' + rate*y = phi, y(0) = 0, sampled on the grid.
-
-    phi_fn is called once, on an array of times.
-    """
+    """RK4 integration of y' + rate*y = phi, y(0) = 0, on the grid."""
     y = _rk4_affine(np.array([[-rate]]), np.array([1.0]), phi_fn,
                     np.zeros((1, 1)), T, nt * sub)
     return y[::sub, 0, 0]
@@ -90,20 +89,14 @@ def _shoot_pair(src_fn, kappa, hom0, T, nt, sub):
 
 
 def shoot_gstar_h(phi_fn, Bn, mu, T, nt, sub=4):
-    """Shooting solve of -A'' + Bn*mu*A = phi, A(T)=0, -A'(0)+mu*A(0)=0.
-
-    phi_fn is called once, on an array of times.
-    """
+    """Shooting solve of -A'' + Bn*mu*A = phi, A(T)=0, -A'(0)+mu*A(0)=0."""
     y = _shoot_pair(phi_fn, Bn * mu, [1.0, mu], T, nt, sub)
     a = -y[-1, 0] / y[-1, 2]
     return (y[:, 0] + a * y[:, 2])[::sub]
 
 
 def shoot_h_gstar(psi_fn, Bn, mu, T, nt, sub=4):
-    """Shooting solve of -C'' + Bn*mu*C = psi, C(0)=0, C'(T)+mu*C(T)=0.
-
-    psi_fn is called once, on an array of times.
-    """
+    """Shooting solve of -C'' + Bn*mu*C = psi, C(0)=0, C'(T)+mu*C(T)=0."""
     y = _shoot_pair(psi_fn, Bn * mu, [0.0, 1.0], T, nt, sub)
     c = -(y[-1, 1] + mu * y[-1, 0]) / (y[-1, 3] + mu * y[-1, 2])
     return (y[:, 0] + c * y[:, 2])[::sub]
@@ -129,16 +122,10 @@ def picard_h(phi_values, Bn, mu, dt, tol=1e-13, max_iter=500):
 
 
 def picard_hstar(psi_values, Bn, mu, dt, tol=1e-13, max_iter=500):
-    """Fixed-point iteration on the defining equation of H*."""
-    gain = mu * (mu - Bn)
-    x = np.zeros_like(psi_values)
-    for _ in range(max_iter):
-        fed = psi_values + gain * relax_forward_values(x, mu, dt)
-        x_new = relax_backward_values(fed, mu, dt)
-        if np.max(np.abs(x_new - x)) <= tol:
-            return x_new
-        x = x_new
-    raise RuntimeError("Picard iteration for H* did not converge")
+    """Fixed-point iteration on the defining equation of H*,
+    -x' + mu*x = psi + (mu/N) G(x), x(T) = 0: picard_h in reversed time."""
+    return picard_h(psi_values[..., ::-1], Bn, mu, dt, tol,
+                    max_iter)[..., ::-1].copy()
 
 
 def time_op_matrix(kernel, nt):
@@ -150,6 +137,36 @@ def time_op_matrix(kernel, nt):
     return kernel(np.eye(nt + 1)).T
 
 
+def _add_cn_rows(A, row, col, params, grid, tgrid):
+    """Add every interior node's Crank-Nicolson rows to A; return the nodes'
+    omega flags and the interior Laplacian.
+
+    Row row(i, 0) pins col(i, 0); row(i, k + 1) steps level k to k + 1 in the
+    unknowns col(j, k), col(j, k + 1), the memory term An*Bn*H (omega) or
+    An*Bn*M (the rest) as dense matrices of the production kernels.  A
+    reversed-time block passes a column map that reverses the level index.
+    """
+    nt, dt = tgrid.nt, tgrid.dt
+    w_int = omega_mask(grid, params)[grid.interior_idx]
+    L = laplacian_matrix(grid).toarray()
+    An, Bn = params.An, params.Bn
+    mem_omega, mem_rest = (An * Bn * time_op_matrix(op, nt) for op in (
+        lambda e: apply_h_values(e, Bn, params.mu, dt),
+        lambda e: relax_forward_values(e, Bn, dt)))
+    k = np.arange(nt)
+    for i in range(len(w_int)):
+        A[row(i, 0), col(i, 0)] = 1.0
+        mem = mem_omega if w_int[i] else mem_rest
+        r = row(i, k + 1)
+        A[r, col(i, k + 1)] += 1.0 / dt + An / 2.0
+        A[r, col(i, k)] += -1.0 / dt + An / 2.0
+        for j in np.flatnonzero(L[i]):
+            A[r, col(j, k)] += L[i, j] / 2.0
+            A[r, col(j, k + 1)] += L[i, j] / 2.0
+        A[r[:, None], col(i, np.arange(nt + 1))] -= 0.5 * (mem[:-1] + mem[1:])
+    return w_int, L
+
+
 def dense_state_solve(params, grid, tgrid, f_vals, v_vals):
     """Monolithic dense solve of the discrete state system.
 
@@ -159,42 +176,16 @@ def dense_state_solve(params, grid, tgrid, f_vals, v_vals):
     Feasible only for tiny instances; used as the equivalence oracle for the
     fixed-point solver.
     """
-    from .fields import laplacian_matrix, omega_mask
-    from .timeops import apply_h_values
-
     interior = grid.interior_idx
-    nint, nt, dt = len(interior), tgrid.nt, tgrid.dt
-    w_int = omega_mask(grid, params)[interior]
-    L = laplacian_matrix(grid).toarray()
-    An, Bn = params.An, params.Bn
-    H_t = time_op_matrix(
-        lambda e: apply_h_values(e, params.Bn, params.mu, dt), nt)
-    M_t = time_op_matrix(
-        lambda e: relax_forward_values(e, params.Bn, dt), nt)
-
-    F = f_vals[interior].copy()
-    F[w_int] += An * Bn * v_vals[interior][w_int]
-
-    nun = nint * (nt + 1)
-    A = np.zeros((nun, nun))
-    b = np.zeros(nun)
+    nint, nt = len(interior), tgrid.nt
+    A = np.zeros((nint * (nt + 1),) * 2)
     idx = lambda i, k: i * (nt + 1) + k
-    for i in range(nint):
-        A[idx(i, 0), idx(i, 0)] = 1.0
-    for i in range(nint):
-        mem = An * Bn * (H_t if w_int[i] else M_t)
-        for k in range(nt):
-            r = idx(i, k + 1)
-            A[r, idx(i, k + 1)] += 1.0 / dt + An / 2.0
-            A[r, idx(i, k)] += -1.0 / dt + An / 2.0
-            for j in range(nint):
-                if L[i, j] != 0.0:
-                    A[r, idx(j, k)] += L[i, j] / 2.0
-                    A[r, idx(j, k + 1)] += L[i, j] / 2.0
-            A[r, idx(i, 0):idx(i, nt + 1)] -= 0.5 * (mem[k, :] + mem[k + 1, :])
-            b[r] = 0.5 * (F[i, k] + F[i, k + 1])
-    x = np.linalg.solve(A, b)
-    return x.reshape(nint, nt + 1)
+    w_int, _ = _add_cn_rows(A, idx, idx, params, grid, tgrid)
+    F = f_vals[interior].copy()
+    F[w_int] += params.An * params.Bn * v_vals[interior][w_int]
+    b = np.zeros((nint, nt + 1))
+    b[:, 1:] = 0.5 * (F[:, :-1] + F[:, 1:])
+    return np.linalg.solve(A, b.ravel()).reshape(nint, nt + 1)
 
 
 def dense_optimality_solve(params, grid, tgrid, f_vals):
@@ -206,26 +197,13 @@ def dense_optimality_solve(params, grid, tgrid, f_vals):
     -(An*Bn/N) H(G*(p)) chi_omega folded into the state block.  Returns
     (u_interior, p_interior).
     """
-    from .fields import laplacian_matrix, omega_mask
-    from .timeops import (apply_h_values, bvp_gstar_h_values,
-                          bvp_h_gstar_values)
-
     interior = grid.interior_idx
     nint, nt, dt = len(interior), tgrid.nt, tgrid.dt
-    w_int = omega_mask(grid, params)[interior]
-    L = laplacian_matrix(grid).toarray()
     An, Bn, mu, N = params.An, params.Bn, params.mu, params.N
-    H_t = time_op_matrix(
-        lambda e: apply_h_values(e, Bn, mu, dt), nt)
-    M_t = time_op_matrix(
-        lambda e: relax_forward_values(e, Bn, dt), nt)
-    GHs_t = time_op_matrix(
-        lambda e: bvp_gstar_h_values(e, Bn, mu, dt), nt)
-    HGs_t = time_op_matrix(
-        lambda e: bvp_h_gstar_values(e, Bn, mu, dt), nt)
-    MsM_t = time_op_matrix(
-        lambda e: relax_backward_values(
-            relax_forward_values(e, Bn, dt), Bn, dt), nt)
+    GHs_t, HGs_t, MsM_t = (time_op_matrix(op, nt) for op in (
+        lambda e: bvp_gstar_h_values(e, Bn, mu, dt),
+        lambda e: bvp_h_gstar_values(e, Bn, mu, dt),
+        lambda e: relax_backward_values(relax_forward_values(e, Bn, dt), Bn, dt)))
 
     nun = nint * (nt + 1)
     A = np.zeros((2 * nun, 2 * nun))
@@ -234,56 +212,30 @@ def dense_optimality_solve(params, grid, tgrid, f_vals):
     ip = lambda i, k: nun + i * (nt + 1) + k
 
     F = f_vals[interior]
+    b[:nun].reshape(nint, nt + 1)[:, 1:] = 0.5 * (F[:, :-1] + F[:, 1:])
+    w_int, L = _add_cn_rows(A, iu, iu, params, grid, tgrid)
+    # the adjoint in reversed time q(s) = p(T - s): row ip(i, k) steps q's
+    # level k, which is p's level nt - k
+    _add_cn_rows(A, ip, lambda i, k: ip(i, nt - k), params, grid, tgrid)
 
-    # ---- state block ----
-    for i in range(nint):
-        A[iu(i, 0), iu(i, 0)] = 1.0
-        mem = An * Bn * (H_t if w_int[i] else M_t)
-        for k in range(nt):
-            r = iu(i, k + 1)
-            A[r, iu(i, k + 1)] += 1.0 / dt + An / 2.0
-            A[r, iu(i, k)] += -1.0 / dt + An / 2.0
-            for j in range(nint):
-                if L[i, j] != 0.0:
-                    A[r, iu(j, k)] += L[i, j] / 2.0
-                    A[r, iu(j, k + 1)] += L[i, j] / 2.0
-            A[r, iu(i, 0):iu(i, nt + 1)] -= 0.5 * (mem[k, :] + mem[k + 1, :])
-            if w_int[i]:
-                # control source -(An*Bn/N) H(G*(p)), moved to the left side
-                A[r, ip(i, 0):ip(i, nt + 1)] += (An * Bn / N) * 0.5 \
-                    * (HGs_t[k, :] + HGs_t[k + 1, :])
-            b[r] = 0.5 * (F[i, k] + F[i, k + 1])
-
-    # ---- adjoint block, in reversed time q(s) = p(T - s) ----
-    # q rows reference P columns through the index reversal k -> nt - k.
+    # the adjoint source g(U) = L u + An u - An*Bn*mu*GHs(u) [omega]
+    # - An*Bn^2*MsM(u) [complement], reversed: q's step k averages it over
+    # u's levels nt - k and nt - k - 1, and moves to the left side
+    k = np.arange(nt)
     for i in range(nint):
         # terminal coupling p(T) = u(T), i.e. q(0) = u(nt)
-        A[ip(i, 0), ip(i, nt)] = 1.0
         A[ip(i, 0), iu(i, nt)] = -1.0
-        mem = An * Bn * (H_t if w_int[i] else M_t)
-        # source g(U) = L u + An u - An*Bn*mu*GHs(u) [omega]
-        #                         - An*Bn^2*MsM(u) [complement], reversed
-        for k in range(nt):
-            r = ip(i, k + 1)
-            # q-part: same CN stencil as the state block
-            A[r, ip(i, nt - (k + 1))] += 1.0 / dt + An / 2.0
-            A[r, ip(i, nt - k)] += -1.0 / dt + An / 2.0
-            for j in range(nint):
-                if L[i, j] != 0.0:
-                    A[r, ip(j, nt - k)] += L[i, j] / 2.0
-                    A[r, ip(j, nt - (k + 1))] += L[i, j] / 2.0
-            for m in range(nt + 1):
-                coef = -0.5 * (mem[k, m] + mem[k + 1, m])
-                A[r, ip(i, nt - m)] += coef
-            # minus the (reversed) source, which is linear in U
-            for half, kk in ((0.5, k), (0.5, k + 1)):
-                krev = nt - kk
-                for j in range(nint):
-                    if L[i, j] != 0.0:
-                        A[r, iu(j, krev)] -= half * L[i, j]
-                A[r, iu(i, krev)] -= half * An
-                row_op = GHs_t if w_int[i] else MsM_t
-                coef = An * Bn * mu if w_int[i] else An * Bn ** 2
-                A[r, iu(i, 0):iu(i, nt + 1)] += half * coef * row_op[krev, :]
+        if w_int[i]:
+            # control source -(An*Bn/N) H(G*(p)), moved to the left side
+            A[iu(i, 1):iu(i, nt + 1), ip(i, 0):ip(i, nt + 1)] += \
+                (An * Bn / N) * 0.5 * (HGs_t[:-1] + HGs_t[1:])
+        row_op = GHs_t if w_int[i] else MsM_t
+        coef = An * Bn * mu if w_int[i] else An * Bn ** 2
+        for krev in (nt - k, nt - k - 1):
+            for j in np.flatnonzero(L[i]):
+                A[ip(i, k + 1), iu(j, krev)] -= 0.5 * L[i, j]
+            A[ip(i, k + 1), iu(i, krev)] -= 0.5 * An
+            A[ip(i, 1):ip(i, nt + 1), iu(i, 0):iu(i, nt + 1)] += \
+                0.5 * coef * row_op[krev]
     x = np.linalg.solve(A, b)
     return x[:nun].reshape(nint, nt + 1), x[nun:].reshape(nint, nt + 1)

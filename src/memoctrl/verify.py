@@ -6,6 +6,8 @@ from one seed.  Tampering with any derived constant (the absorption density
 in particular) must trip at least one check; the capacity-oracle row is the
 designated tripwire, since the oracle recomputes the constant from the
 radial cell problem without ever using the closed form.
+
+The public functions below measure the invariants the tests check too.
 """
 
 from __future__ import annotations
@@ -42,19 +44,113 @@ class CheckResult:
                    passed=bool(measured <= allowed))
 
 
-def _fourier(rng, grid, modes=3):
+def _fourier(rng, grid):
     # three modes: the suite's "random smooth" class; higher modes inflate
     # the dt^2 constants beyond the documented allowances
     t = grid.times
     vals = np.full_like(t, rng.normal())
-    for m in range(1, modes + 1):
+    for m in range(1, 4):
         a, b = rng.normal(size=2)
         vals += a * np.sin(m * np.pi * t / grid.T) + b * np.cos(m * np.pi * t / grid.T)
     return vals
 
 
-def _norm(w, x):
-    return float(np.sqrt(np.dot(w, x * x)))
+def adjoint_pairs(params, dt):
+    """M, G and H, each with its adjoint, as kernels on samples of step dt."""
+    Bn, mu = params.Bn, params.mu
+    return {
+        "M": (lambda x: relax_forward_values(x, Bn, dt),
+              lambda x: relax_backward_values(x, Bn, dt)),
+        "G": (lambda x: relax_forward_values(x, mu, dt),
+              lambda x: relax_backward_values(x, mu, dt)),
+        "H": (lambda x: apply_h_values(x, Bn, mu, dt),
+              lambda x: apply_hstar_values(x, Bn, mu, dt)),
+    }
+
+
+def duality_gap(pair, tgrid, phi, psi):
+    """|<F phi, psi> - <phi, F* psi>| / (|phi| |psi|) for pair (F, F*)."""
+    fwd, bwd = pair
+    w = trapezoid_weights(tgrid.nt, tgrid.dt)
+    gap = abs(np.dot(w, fwd(phi) * psi) - np.dot(w, phi * bwd(psi)))
+    return gap / (np.sqrt(np.dot(w, phi * phi)) * np.sqrt(np.dot(w, psi * psi)))
+
+
+def composition_gaps(params, dt, phi):
+    """Max gaps of G*H = G*(H), HG* = G(H*), H = G + (mu/N) G(H*(G)) on phi."""
+    _, (G, Gs), (H, Hs) = adjoint_pairs(params, dt).values()
+    h, g = H(phi), G(phi)
+    diffs = {"GstarH": bvp_gstar_h_values(phi, params.Bn, params.mu, dt) - Gs(h),
+             "HGstar": bvp_h_gstar_values(phi, params.Bn, params.mu, dt)
+             - G(Hs(phi)),
+             "rebuild-H": h - (g + (params.mu / params.N) * G(Hs(g)))}
+    return {name: np.max(np.abs(d)) for name, d in diffs.items()}
+
+
+def shooting_gaps(params, fn, tgrid):
+    """Max gaps of the G*H and HG* BVP solves to RK4 shooting of fn."""
+    Bn, mu, src = params.Bn, params.mu, fn(tgrid.times)
+    solves = {"GstarH": (bvp_gstar_h_values, oracles.shoot_gstar_h),
+              "HGstar": (bvp_h_gstar_values, oracles.shoot_h_gstar)}
+    return {name: np.max(np.abs(bvp(src, Bn, mu, tgrid.dt)
+                                - shoot(fn, Bn, mu, tgrid.T, tgrid.nt)))
+            for name, (bvp, shoot) in solves.items()}
+
+
+def manufactured_state(params, grid, tgrid):
+    """(f, u*) for u* = sin(pi x) t on a 1-D grid; f's memory terms use the
+    production lifts, so a solve meets u* up to O(h^2 + dt^2)."""
+    x = grid.coords[:, 0][:, None]
+    t = tgrid.times[None, :]
+    u_star = SpaceTimeField(grid, tgrid, np.sin(np.pi * x) * t)
+    u_star.values[grid.boundary_mask] = 0.0
+    w = omega_mask(grid, params)
+    f_vals = (np.sin(np.pi * x) * np.ones_like(t)
+              + np.pi ** 2 * u_star.values + params.An * u_star.values)
+    f_vals[w] -= params.An * params.Bn * lift_timeop(u_star, "H", params).values[w]
+    f_vals[~w] -= params.An * params.Bn * lift_timeop(u_star, "M", params).values[~w]
+    f_vals[grid.boundary_mask] = 0.0
+    return SpaceTimeField(grid, tgrid, f_vals), u_star
+
+
+def _solve_converged(params, f, v):
+    """State solve to 1e-12; RuntimeError if it stops at its Picard cap."""
+    u, report = solve_state(StateProblem(params=params, f=f, v=v, tol=1e-12))
+    if not report.converged:
+        raise RuntimeError("state solve did not converge to tol 1e-12")
+    return u
+
+
+def dense_state_gap(params, f, v):
+    """Max gap of a state solve to 1e-12 to the dense oracle (v None: v = 0)."""
+    u = _solve_converged(params, f, v)
+    v_vals = np.zeros_like(f.values) if v is None else v.values
+    dense = oracles.dense_state_solve(params, f.grid, f.tgrid, f.values, v_vals)
+    return np.max(np.abs(u.values[f.grid.interior_idx] - dense))
+
+
+def fp_identity_gap(params, f, result):
+    """|J0(v0) - int f p0| / |int f p0| at an optimality result."""
+    lhs, rhs = check_fp_identity(f, result, params)
+    return abs(lhs - rhs) / max(abs(rhs), 1e-300)
+
+
+def decomposition_gap(params, checker, u):
+    """|lhs - rhs| / max|u|^2 of a cost.check_*_decomposition on u."""
+    lhs, rhs = checker(u, params)
+    return abs(lhs - rhs) / float(np.max(np.abs(u.values))) ** 2
+
+
+def gradient_fd_gap(params, f, v, dv):
+    """|J0'(v).dv - D| / |D|, D central with step 1e-3, solves to 1e-12."""
+    def J(vals):
+        vv = SpaceTimeField(f.grid, f.tgrid, vals)
+        return evaluate_J0(vv, _solve_converged(params, f, vv), params).total
+
+    u0 = _solve_converged(params, f, v)
+    grad = gradient_J0(v, u0, params, dv, tol=1e-12)
+    fd = (J(v.values + 1e-3 * dv.values) - J(v.values - 1e-3 * dv.values)) / 2e-3
+    return abs(grad - fd) / max(abs(fd), 1e-300)
 
 
 def run_suite(params, seed=42, tamper_an=1.0):
@@ -79,52 +175,20 @@ def run_suite(params, seed=42, tamper_an=1.0):
     # --- time operators ----------------------------------------------------
     grid = TimeGrid(T=T, nt=256)
     dt = grid.dt
-    w = trapezoid_weights(grid.nt, dt)
-
-    def dual_gap(fwd, bwd):
-        worst = 0.0
-        for _ in range(10):
-            phi, psi = _fourier(rng, grid), _fourier(rng, grid)
-            g = abs(np.dot(w, fwd(phi) * psi) - np.dot(w, phi * bwd(psi)))
-            worst = max(worst, g / (_norm(w, phi) * _norm(w, psi)))
-        return worst
-
-    out.append(CheckResult.of("timeops/duality-M", dual_gap(
-        lambda x: relax_forward_values(x, params.Bn, dt),
-        lambda x: relax_backward_values(x, params.Bn, dt)), 1e-4))
-    out.append(CheckResult.of("timeops/duality-G", dual_gap(
-        lambda x: relax_forward_values(x, params.mu, dt),
-        lambda x: relax_backward_values(x, params.mu, dt)), 1e-4))
-    out.append(CheckResult.of("timeops/duality-H", dual_gap(
-        lambda x: apply_h_values(x, params.Bn, params.mu, dt),
-        lambda x: apply_hstar_values(x, params.Bn, params.mu, dt)), 1e-4))
+    for name, pair in adjoint_pairs(params, dt).items():
+        worst = max(duality_gap(pair, grid, _fourier(rng, grid),
+                                _fourier(rng, grid)) for _ in range(10))
+        out.append(CheckResult.of(f"timeops/duality-{name}", worst, 1e-4))
 
     phi = _fourier(rng, grid)
     nphi = float(np.max(np.abs(phi)))
-    direct = bvp_gstar_h_values(phi, params.Bn, params.mu, dt)
-    composed = relax_backward_values(
-        apply_h_values(phi, params.Bn, params.mu, dt), params.mu, dt)
-    out.append(CheckResult.of(
-        "timeops/composition-GstarH", np.max(np.abs(direct - composed)),
-        1e-4 * nphi))
-    direct2 = bvp_h_gstar_values(phi, params.Bn, params.mu, dt)
-    composed2 = relax_forward_values(
-        apply_hstar_values(phi, params.Bn, params.mu, dt), params.mu, dt)
-    out.append(CheckResult.of(
-        "timeops/composition-HGstar", np.max(np.abs(direct2 - composed2)),
-        1e-4 * nphi))
-    g_of = relax_forward_values(phi, params.mu, dt)
-    rebuilt = g_of + (params.mu / params.N) * relax_forward_values(
-        apply_hstar_values(g_of, params.Bn, params.mu, dt), params.mu, dt)
-    out.append(CheckResult.of(
-        "timeops/composition-rebuild-H", np.max(np.abs(
-            apply_h_values(phi, params.Bn, params.mu, dt) - rebuilt)),
-        1e-4 * nphi))
+    for name, gap in composition_gaps(params, dt, phi).items():
+        out.append(CheckResult.of(f"timeops/composition-{name}", gap,
+                                  1e-4 * nphi))
 
     a, b = rng.normal(size=2)
-    affine = a + b * grid.times
-    lam = params.Bn
-    exact = (a + b * grid.times) / lam - b / lam ** 2 \
+    affine, lam = a + b * grid.times, params.Bn
+    exact = affine / lam - b / lam ** 2 \
         - (a / lam - b / lam ** 2) * np.exp(-lam * grid.times)
     out.append(CheckResult.of(
         "timeops/relax-affine-exact",
@@ -139,17 +203,9 @@ def run_suite(params, seed=42, tamper_an=1.0):
             val = val + ca * np.sin(m * np.pi * t / T) + cb * np.cos(m * np.pi * t / T)
         return val
 
-    sampled = src(fine.times)
-    out.append(CheckResult.of(
-        "timeops/bvp-GstarH-vs-shooting",
-        np.max(np.abs(bvp_gstar_h_values(sampled, params.Bn, params.mu, fine.dt)
-                      - oracles.shoot_gstar_h(src, params.Bn, params.mu, T, fine.nt))),
-        1e-6))
-    out.append(CheckResult.of(
-        "timeops/bvp-HGstar-vs-shooting",
-        np.max(np.abs(bvp_h_gstar_values(sampled, params.Bn, params.mu, fine.dt)
-                      - oracles.shoot_h_gstar(src, params.Bn, params.mu, T, fine.nt))),
-        1e-6))
+    for name, gap in shooting_gaps(params, src, fine).items():
+        out.append(CheckResult.of(f"timeops/bvp-{name}-vs-shooting", gap,
+                                  1e-6))
     smooth = np.sin(2 * np.pi * fine.times / T)
     out.append(CheckResult.of(
         "timeops/H-vs-picard",
@@ -158,7 +214,7 @@ def run_suite(params, seed=42, tamper_an=1.0):
         1e-6))
 
     # --- spatial machinery -------------------------------------------------
-    sgrid = SpatialGrid(params.domain_box, (17,) * params.sim_dim)
+    sgrid = grid1 = SpatialGrid(params.domain_box, (17,) * params.sim_dim)
     L = laplacian_matrix(sgrid)
     x1 = rng.normal(size=L.shape[0])
     x2 = rng.normal(size=L.shape[0])
@@ -185,49 +241,28 @@ def run_suite(params, seed=42, tamper_an=1.0):
         1e-12 * max(1.0, np.max(np.abs(re_lift)))))
 
     # --- state solver -------------------------------------------------------
-    grid1 = SpatialGrid(params.domain_box, (17,) * params.sim_dim)
     tg1 = TimeGrid(T=T, nt=32)
-    zero_prob = StateProblem(params=params,
-                             f=SpaceTimeField.zeros(grid1, tg1))
-    u_zero, rep_zero = solve_state(zero_prob)
+    u_zero, rep_zero = solve_state(StateProblem(
+        params=params, f=SpaceTimeField.zeros(grid1, tg1)))
     out.append(CheckResult.of(
         "state/zero-data", np.max(np.abs(u_zero.values)) + rep_zero.iterations - 1,
         0.0))
 
-    xcol = grid1.coords[:, 0][:, None]
-    trow = tg1.times[None, :]
-    u_star = SpaceTimeField(grid1, tg1,
-                            np.sin(np.pi * xcol) * trow
-                            * np.ones((grid1.nnodes, tg1.nt + 1)))
-    u_star.values[grid1.boundary_mask] = 0.0
-    wmask = omega_mask(grid1, params)
-    f_vals = (np.sin(np.pi * xcol) * np.ones_like(trow)
-              + np.pi ** 2 * u_star.values + params.An * u_star.values)
-    f_vals[wmask] -= params.An * params.Bn * lift_timeop(u_star, "H", params).values[wmask]
-    f_vals[~wmask] -= params.An * params.Bn * lift_timeop(u_star, "M", params).values[~wmask]
-    f_vals[grid1.boundary_mask] = 0.0
-    u_mms, _ = solve_state(StateProblem(
-        params=params, f=SpaceTimeField(grid1, tg1, f_vals), tol=1e-10))
+    f_mms, u_star = manufactured_state(params, grid1, tg1)
+    u_mms, _ = solve_state(StateProblem(params=params, f=f_mms, tol=1e-10))
     out.append(CheckResult.of(
         "state/manufactured-solution",
         np.max(np.abs(u_mms.values - u_star.values)), 6e-3))
 
-    tiny_grid = SpatialGrid(params.domain_box, (9,) * params.sim_dim)
-    tiny_tg = TimeGrid(T=T, nt=16)
-    f_tiny = SpaceTimeField.from_function(
-        tiny_grid, tiny_tg, lambda *args: 1.0 + 0.0 * args[0])
-    u_tiny, _ = solve_state(StateProblem(params=params, f=f_tiny, tol=1e-12))
-    dense = oracles.dense_state_solve(params, tiny_grid, tiny_tg, f_tiny.values,
-                                      np.zeros_like(f_tiny.values))
+    tiny = SpatialGrid(params.domain_box, (9,) * params.sim_dim)
+    f_tiny = SpaceTimeField(tiny, tg_small, np.ones((tiny.nnodes, tg_small.nt + 1)))
     out.append(CheckResult.of(
-        "state/dense-oracle",
-        np.max(np.abs(u_tiny.values[tiny_grid.interior_idx] - dense)), 1e-6))
+        "state/dense-oracle", dense_state_gap(params, f_tiny, None), 1e-6))
 
     # --- optimality system ---------------------------------------------------
     grid2 = SpatialGrid(params.domain_box, (33,) * params.sim_dim)
     tg2 = TimeGrid(T=T, nt=64)
-    f2 = SpaceTimeField.from_function(grid2, tg2,
-                                      lambda *args: 1.0 + 0.0 * args[0])
+    f2 = SpaceTimeField(grid2, tg2, np.ones((grid2.nnodes, tg2.nt + 1)))
     result = solve_optimality(f2, params, outer_tol=1e-8)
     inner = grid2.interior_idx
     out.append(CheckResult.of(
@@ -242,9 +277,8 @@ def run_suite(params, seed=42, tamper_an=1.0):
         np.max(np.abs(v_ode.values - result.v0.values)),
         1e-10 * max(1.0, np.max(np.abs(result.v0.values)))))
 
-    lhs, rhs = check_fp_identity(f2, result, params)
     out.append(CheckResult.of(
-        "cost/fp-identity", abs(lhs - rhs) / max(abs(rhs), 1e-300), 2e-3))
+        "cost/fp-identity", fp_identity_gap(params, f2, result), 2e-3))
 
     bd = evaluate_J0(result.v0, result.u0, params)
     terms = bd.as_dict()
@@ -279,49 +313,34 @@ def run_suite(params, seed=42, tamper_an=1.0):
                           np.sin(np.pi * x3) * np.sin(np.pi * t3 / T)
                           + 0.5 * np.sin(2 * np.pi * x3) * np.cos(np.pi * t3 / T)
                           * np.ones((grid3.nnodes, tg3.nt + 1)))
-    norm2 = float(np.max(np.abs(fld3.values))) ** 2
     for name, checker in (("M", check_M_decomposition),
                           ("GH", check_GH_decomposition),
                           ("HGstar", check_HGstar_decomposition)):
-        l3, r3 = checker(fld3, params)
         out.append(CheckResult.of(
-            f"cost/decomposition-{name}", abs(l3 - r3) / norm2,
-            25.0 * tg3.dt ** 2))
+            f"cost/decomposition-{name}",
+            decomposition_gap(params, checker, fld3), 25.0 * tg3.dt ** 2))
 
-    grid4 = SpatialGrid(params.domain_box, (17,) * params.sim_dim)
-    tg4 = TimeGrid(T=T, nt=32)
-    f4 = SpaceTimeField.from_function(grid4, tg4,
-                                      lambda *args: 1.0 + 0.0 * args[0])
-    wm4 = omega_mask(grid4, params)
-    v0_vals = np.zeros((grid4.nnodes, tg4.nt + 1))
-    v0_vals[wm4] = rng.normal() * np.outer(np.sin(np.pi * grid4.coords[wm4, 0]),
-                                           tg4.times / T)
+    f4 = SpaceTimeField(grid1, tg1, np.ones((grid1.nnodes, tg1.nt + 1)))
+    wm1 = omega_mask(grid1, params)
+    v0_vals = np.zeros((grid1.nnodes, tg1.nt + 1))
+    v0_vals[wm1] = rng.normal() * np.outer(np.sin(np.pi * grid1.coords[wm1, 0]),
+                                           tg1.times / T)
     v0_vals[:, 0] = 0.0
-    v0f = SpaceTimeField(grid4, tg4, v0_vals)
+    v0f = SpaceTimeField(grid1, tg1, v0_vals)
     dv_vals = np.zeros_like(v0_vals)
-    dv_vals[wm4] = np.outer(np.cos(grid4.coords[wm4, 0]),
-                            (tg4.times / T) ** 2)
+    dv_vals[wm1] = np.outer(np.cos(grid1.coords[wm1, 0]),
+                            (tg1.times / T) ** 2)
     dv_vals[:, 0] = 0.0
-    dvf = SpaceTimeField(grid4, tg4, dv_vals)
-    u0f, _ = solve_state(StateProblem(params=params, f=f4, v=v0f, tol=1e-12))
-    grad = gradient_J0(v0f, u0f, params, dvf, tol=1e-12)
-    lam = 1e-3
-
-    def J_at(vv):
-        uu, _ = solve_state(StateProblem(params=params, f=f4, v=vv, tol=1e-12))
-        return evaluate_J0(vv, uu, params).total
-
-    vp = SpaceTimeField(grid4, tg4, v0_vals + lam * dv_vals)
-    vm = SpaceTimeField(grid4, tg4, v0_vals - lam * dv_vals)
-    fd = (J_at(vp) - J_at(vm)) / (2 * lam)
+    dvf = SpaceTimeField(grid1, tg1, dv_vals)
     out.append(CheckResult.of(
         "cost/gradient-vs-finite-difference",
-        abs(grad - fd) / max(abs(fd), 1e-300), 1e-5))
+        gradient_fd_gap(params, f4, v0f, dvf), 1e-5))
 
     # linearized-state affinity
+    u0f, _ = solve_state(StateProblem(params=params, f=f4, v=v0f, tol=1e-12))
     theta = solve_linearized(dvf, params, tol=1e-11)
     u_plus, _ = solve_state(StateProblem(params=params, f=f4, v=SpaceTimeField(
-        grid4, tg4, v0_vals + dv_vals), tol=1e-11))
+        grid1, tg1, v0_vals + dv_vals), tol=1e-11))
     out.append(CheckResult.of(
         "state/affinity",
         np.max(np.abs(u_plus.values - u0f.values - theta.values)), 1e-8))

@@ -14,26 +14,24 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from memoctrl import (SpaceTimeField, SpatialGrid, StateProblem, TimeGrid,
-                      check_fp_identity, check_GH_decomposition,
-                      check_HGstar_decomposition, check_M_decomposition,
-                      evaluate_J0, gradient_J0, make_params, omega_mask,
+                      check_GH_decomposition, check_HGstar_decomposition,
+                      check_M_decomposition, evaluate_J0, omega_mask,
                       solve_optimality, solve_state)
 from memoctrl.cli import main as cli_main
 from memoctrl.cost import gradient_J0_terms
 from memoctrl.fields import spacetime_inner
 from memoctrl.optimality import direct_minimize
-from memoctrl.timeops import (TimeSeries, apply_h, apply_hstar,
-                              bvp_gstar_h_values, bvp_h_gstar_values,
-                              inner_product, relax_backward, relax_forward)
+from memoctrl.verify import (adjoint_pairs, composition_gaps, dense_state_gap,
+                             decomposition_gap, duality_gap, fp_identity_gap,
+                             gradient_fd_gap, manufactured_state,
+                             shooting_gaps)
 
-from .conftest import fourier_callable
-from .oracles import (dense_optimality_solve, dense_state_solve,
-                      shoot_gstar_h, shoot_h_gstar)
+from .conftest import (control_field, default_params, fourier_callable,
+                       seeded_field)
+from .oracles import dense_optimality_solve
 from .test_optimality import adjoint_mms_error
-from .test_state import manufactured_problem
 
 
 def report(num, name, passed, detail, elapsed, budget):
@@ -44,24 +42,6 @@ def report(num, name, passed, detail, elapsed, budget):
     assert passed, f"criterion {num} {name}: {detail}"
 
 
-def default_params(**kw):
-    return make_params(**{**dict(n=3, C0=1.0, N=1.0, T=1.0), **kw})
-
-
-def series(grid, fn):
-    return TimeSeries(grid, fn(grid.times))
-
-
-def control_field(params, grid, tgrid, fn):
-    w = omega_mask(grid, params)
-    vals = np.zeros((grid.nnodes, tgrid.nt + 1))
-    x = grid.coords[:, 0]
-    for k, t in enumerate(tgrid.times):
-        vals[w, k] = fn(x[w], t)
-    vals[:, 0] = 0.0
-    return SpaceTimeField(grid, tgrid, vals)
-
-
 def test_criterion_01_operator_dualities():
     t0 = time.perf_counter()
     params = default_params()
@@ -69,30 +49,17 @@ def test_criterion_01_operator_dualities():
     pairs = [(fourier_callable(rng, 1.0, modes=3, decay=2.0),
               fourier_callable(rng, 1.0, modes=3, decay=2.0))
              for _ in range(20)]
-    ops = {
-        "M": (lambda s: relax_forward(s, params.Bn),
-              lambda s: relax_backward(s, params.Bn)),
-        "G": (lambda s: relax_forward(s, params.mu),
-              lambda s: relax_backward(s, params.mu)),
-        "H": (lambda s: apply_h(s, params),
-              lambda s: apply_hstar(s, params)),
-    }
     worst = {}
     for nt in (256, 512):
         grid = TimeGrid(T=1.0, nt=nt)
-        for name, (fwd, bwd) in ops.items():
-            gap = 0.0
-            for fa, fb in pairs:
-                phi, psi = series(grid, fa), series(grid, fb)
-                norm = math.sqrt(inner_product(phi, phi)
-                                 * inner_product(psi, psi))
-                gap = max(gap, abs(inner_product(fwd(phi), psi)
-                                   - inner_product(phi, bwd(psi))) / norm)
-            worst[(name, nt)] = gap
-    ok = all(worst[(n, 256)] <= 1e-4 for n in ops) \
-        and all(worst[(n, 512)] <= worst[(n, 256)] / 3.5 for n in ops)
+        for name, pair in adjoint_pairs(params, grid.dt).items():
+            worst[(name, nt)] = max(
+                duality_gap(pair, grid, fa(grid.times), fb(grid.times))
+                for fa, fb in pairs)
+    ok = all(worst[(n, 256)] <= 1e-4 for n in "MGH") \
+        and all(worst[(n, 512)] <= worst[(n, 256)] / 3.5 for n in "MGH")
     detail = ", ".join(f"{n}: {worst[(n, 256)]:.2e}->{worst[(n, 512)]:.2e}"
-                       for n in ops)
+                       for n in "MGH")
     report(1, "operator-dualities", ok, detail, time.perf_counter() - t0, 1.0)
 
 
@@ -104,25 +71,14 @@ def test_criterion_02_composition_identities():
     gaps = {"i-GstarH": [], "i-HGstar": [], "ii": []}
     for nt in (256, 512):
         grid = TimeGrid(T=1.0, nt=nt)
-        g1 = g2 = g3 = 0.0
+        per_fn = []
         for fn in fns:
-            phi = series(grid, fn)
-            norm = float(np.max(np.abs(phi.values)))
-            from memoctrl.timeops import bvp_gstar_h, bvp_h_gstar
-            d1 = bvp_gstar_h(phi, params).values \
-                - relax_backward(apply_h(phi, params), params.mu).values
-            g1 = max(g1, np.max(np.abs(d1)) / norm)
-            d2 = bvp_h_gstar(phi, params).values \
-                - relax_forward(apply_hstar(phi, params), params.mu).values
-            g2 = max(g2, np.max(np.abs(d2)) / norm)
-            g_of = relax_forward(phi, params.mu)
-            rebuilt = g_of.values + (params.mu / params.N) * relax_forward(
-                apply_hstar(g_of, params), params.mu).values
-            d3 = apply_h(phi, params).values - rebuilt
-            g3 = max(g3, np.max(np.abs(d3)) / norm)
-        gaps["i-GstarH"].append(g1)
-        gaps["i-HGstar"].append(g2)
-        gaps["ii"].append(g3)
+            phi = fn(grid.times)
+            norm = float(np.max(np.abs(phi)))
+            per_fn.append([gap / norm for gap in
+                           composition_gaps(params, grid.dt, phi).values()])
+        for label, col in zip(gaps, zip(*per_fn)):
+            gaps[label].append(max(col))
     ok = all(v[0] <= 1e-4 and v[1] <= v[0] / 3.5 for v in gaps.values())
     detail = ", ".join(f"{k}: {v[0]:.2e}->{v[1]:.2e}" for k, v in gaps.items())
     report(2, "composition-identities", ok, detail,
@@ -133,17 +89,9 @@ def test_criterion_03_bvp_vs_shooting():
     t0 = time.perf_counter()
     params = default_params()
     grid = TimeGrid(T=1.0, nt=2000)
-    worst = 0.0
-    for seed in range(5):
-        rng = np.random.default_rng(1100 + seed)
-        fn = fourier_callable(rng, 1.0, modes=3)
-        src = fn(grid.times)
-        a = bvp_gstar_h_values(src, params.Bn, params.mu, grid.dt)
-        worst = max(worst, np.max(np.abs(
-            a - shoot_gstar_h(fn, params.Bn, params.mu, 1.0, grid.nt))))
-        c = bvp_h_gstar_values(src, params.Bn, params.mu, grid.dt)
-        worst = max(worst, np.max(np.abs(
-            c - shoot_h_gstar(fn, params.Bn, params.mu, 1.0, grid.nt))))
+    worst = max(max(shooting_gaps(params, fourier_callable(
+        np.random.default_rng(1100 + seed), 1.0, modes=3), grid).values())
+        for seed in range(5))
     report(3, "bvp-vs-rk4-shooting", worst <= 1e-6,
            f"max gap {worst:.2e} <= 1e-06", time.perf_counter() - t0, 5.0)
 
@@ -168,7 +116,7 @@ def test_criterion_05_manufactured_solutions():
         params = default_params()
         grid = SpatialGrid(params.domain_box, (nx,))
         tgrid = TimeGrid(T=1.0, nt=nt)
-        f, u_star = manufactured_problem(params, grid, tgrid)
+        f, u_star = manufactured_state(params, grid, tgrid)
         u, rep = solve_state(StateProblem(params=params, f=f, tol=1e-9))
         assert rep.converged
         state_errs.append(np.max(np.abs(u.values - u_star.values)))
@@ -191,9 +139,7 @@ def test_criterion_06_dense_oracles():
     f = SpaceTimeField(grid, tgrid,
                        (1.0 + 0.3 * np.sin(np.pi * x)) * np.ones_like(t))
     v = control_field(params, grid, tgrid, lambda xs, tt: xs * tt)
-    u, _ = solve_state(StateProblem(params=params, f=f, v=v, tol=1e-12))
-    dense_u = dense_state_solve(params, grid, tgrid, f.values, v.values)
-    gap_state = np.max(np.abs(u.values[grid.interior_idx] - dense_u))
+    gap_state = dense_state_gap(params, f, v)
     result = solve_optimality(f, params, outer_tol=1e-11, inner_tol=1e-12)
     du, dp = dense_optimality_solve(params, grid, tgrid, f.values)
     gap_u = np.max(np.abs(result.u0.values[grid.interior_idx] - du))
@@ -214,8 +160,7 @@ def test_criterion_07_fp_identity():
         f = SpaceTimeField.from_function(grid, tgrid, lambda x, t: 1.0 + 0 * x)
         result = solve_optimality(f, params)
         assert result.converged
-        lhs, rhs = check_fp_identity(f, result, params)
-        gaps.append(abs(lhs - rhs) / abs(rhs))
+        gaps.append(fp_identity_gap(params, f, result))
     ok = gaps[0] <= 1e-3 and gaps[1] <= gaps[0] / 3.5
     report(7, "fp-identity", ok,
            f"rel gap {gaps[0]:.2e} -> {gaps[1]:.2e} (x{gaps[0]/gaps[1]:.2f})",
@@ -293,21 +238,9 @@ def test_criterion_09_decompositions():
         for nt in nts:
             grid = SpatialGrid(params.domain_box, (9,))
             tgrid = TimeGrid(T=1.0, nt=nt)
-            worst = 0.0
-            for seed in (5, 21, 33):
-                rng = np.random.default_rng(seed)
-                x = grid.coords[:, 0][:, None]
-                t = tgrid.times[None, :]
-                vals = np.zeros((grid.nnodes, tgrid.nt + 1))
-                for m in range(1, 4):
-                    a, b = rng.normal(size=2)
-                    vals += a * np.sin(m * np.pi * x) * np.sin(m * np.pi * t) \
-                        + b * np.sin(m * np.pi * x) * np.cos(m * np.pi * t)
-                fld = SpaceTimeField(grid, tgrid, vals)
-                lhs, rhs = checker(fld, params)
-                worst = max(worst, abs(lhs - rhs)
-                            / float(np.max(np.abs(vals))) ** 2)
-            gaps.append(worst)
+            gaps.append(max(decomposition_gap(
+                params, checker, seeded_field(grid, tgrid, seed))
+                for seed in (5, 21, 33)))
         order = np.polyfit(np.log([1.0 / nt for nt in nts]),
                            np.log(gaps), 1)[0]
         ok = ok and gaps[0] <= 25.0 * (1.0 / nts[0]) ** 2 and order >= 1.6
@@ -331,19 +264,7 @@ def test_criterion_10_gradient_check():
         dv = control_field(params, grid, tgrid,
                            lambda x, t: rng.normal() * np.cos(2 * x) * t
                            + rng.normal() * t ** 3)
-        u0, _ = solve_state(StateProblem(params=params, f=f, v=v0, tol=1e-12))
-        grad = gradient_J0(v0, u0, params, dv, tol=1e-12)
-        lam = 1e-3
-
-        def J(v):
-            u, _ = solve_state(StateProblem(params=params, f=f, v=v,
-                                            tol=1e-12))
-            return evaluate_J0(v, u, params).total
-
-        vp = SpaceTimeField(grid, tgrid, v0.values + lam * dv.values)
-        vm = SpaceTimeField(grid, tgrid, v0.values - lam * dv.values)
-        fd = (J(vp) - J(vm)) / (2 * lam)
-        worst = max(worst, abs(grad - fd) / abs(fd))
+        worst = max(worst, gradient_fd_gap(params, f, v0, dv))
     report(10, "gradient-vs-finite-difference", worst <= 1e-5,
            f"max rel gap {worst:.2e} <= 1e-05", time.perf_counter() - t0, 60.0)
 

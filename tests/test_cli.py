@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from memoctrl.cli import (_CSV_BLOCK_NODES, ConfigError, _coordinate_text,
-                          _sweep_point_config, field_from_csv, field_to_csv,
-                          load_config, main, normalize_config)
+                          _sweep_point_config, build_params, field_from_csv,
+                          field_to_csv, load_config, main, normalize_config)
 from memoctrl.fields import SpaceTimeField, SpatialGrid
 from memoctrl.optimality import solve_optimality
 from memoctrl.params import Box, make_params
 from memoctrl.timeops import TimeGrid
+from memoctrl.verify import run_suite
 
 from .conftest import run_fresh_python
 
@@ -94,6 +95,44 @@ def test_solve_bad_config_exit_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"omega_box": {"lo": [-1.0], "hi": [2.0]}})
     assert main(["--config", cfg, "--out", str(tmp_path / "x"), "solve"]) == 1
     assert "strictly inside" in capsys.readouterr().err
+
+
+MALFORMED = [
+    {"nodes_per_axis": ["a"]},
+    {"nt": "x"},
+    {"memory_cap_mb": "big"},
+    {"solver": {"tol": "abc"}},
+    {"nodes_per_axis": 17},
+    {"source": {"preset": "constant", "amplitude": "a"}},
+    {"omega_box": {"lo": [0.25]}},
+    {"solver": {"max_picard": 2.5}},
+    {"solver": {"tol": 0.0}},
+    {"solver": {"tol": -1e-8}},
+    {"solver": {"outer_tol": float("inf")}},
+    {"solver": {"outer_tol": float("nan")}},
+    {"solver": {"outer_max": 3.5}},
+    {"solver": {"max_picard": True}},
+    {"nt": 10 ** 400},
+    {"N": 10 ** 400},
+]
+
+
+@pytest.mark.parametrize("raw", MALFORMED, ids=range(len(MALFORMED)))
+def test_malformed_value_exit_1_with_reason(tmp_path, capsys, raw):
+    cfg = write_cfg(tmp_path, {**TINY, **raw})
+    assert main(["--config", cfg, "--out", str(tmp_path / "x"), "solve"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_sweep_refuses_malformed_base_config(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {**TINY, "nt": "x"})
+    out = tmp_path / "s"
+    assert main(["--config", cfg, "--out", str(out),
+                 "sweep", "--axis", "N", "--values", "1,2"]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_oversize_grid_exit_1(tmp_path):
@@ -335,6 +374,30 @@ def test_verify_exit_codes(tmp_path, capsys):
     table_b = capsys.readouterr().out
     assert code == 0
     assert table_a == table_b  # same seed, identical report
+
+
+VERIFY_ROW_NAMES = [
+    "params/Bn-times-C0", "params/mu-minus-Bn", "params/capacity-oracle-vs-An",
+    "timeops/duality-M", "timeops/duality-G", "timeops/duality-H",
+    "timeops/composition-GstarH", "timeops/composition-HGstar",
+    "timeops/composition-rebuild-H", "timeops/relax-affine-exact",
+    "timeops/bvp-GstarH-vs-shooting", "timeops/bvp-HGstar-vs-shooting",
+    "timeops/H-vs-picard", "fields/laplacian-symmetry",
+    "fields/mask-partition", "fields/lift-separability", "state/zero-data",
+    "state/manufactured-solution", "state/dense-oracle",
+    "optimality/outer-converged", "optimality/terminal-coupling",
+    "optimality/control-route-equivalence", "cost/fp-identity",
+    "cost/total-equals-sum", "cost/terms-nonnegative", "optimality/minimality",
+    "cost/decomposition-M", "cost/decomposition-GH",
+    "cost/decomposition-HGstar", "cost/gradient-vs-finite-difference",
+    "state/affinity",
+]
+
+
+def test_verify_rows_named_and_ordered():
+    # the benchmark counts the rows and reads cost/fp-identity by name
+    params = build_params(normalize_config({}))
+    assert [r.name for r in run_suite(params, seed=7)] == VERIFY_ROW_NAMES
 
 
 def test_verify_tamper_exit_3(tmp_path, capsys):

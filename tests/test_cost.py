@@ -1,29 +1,14 @@
 import numpy as np
 import pytest
 
-from memoctrl import (SpaceTimeField, SpatialGrid, StateProblem, TimeGrid,
-                      check_fp_identity, check_GH_decomposition,
-                      check_HGstar_decomposition, check_M_decomposition,
-                      evaluate_J0, gradient_J0, make_params, omega_mask,
-                      solve_optimality, solve_state)
+from memoctrl import (SpaceTimeField, StateProblem, check_fp_identity,
+                      check_GH_decomposition, check_HGstar_decomposition,
+                      check_M_decomposition, evaluate_J0, gradient_J0,
+                      omega_mask, solve_optimality, solve_state)
 from memoctrl.fields import space_weights
+from memoctrl.verify import decomposition_gap, fp_identity_gap, gradient_fd_gap
 
-
-def setup_1d(nx=33, nt=64, T=1.0, N=1.0):
-    params = make_params(n=3, C0=1.0, N=N, T=T)
-    grid = SpatialGrid(params.domain_box, (nx,))
-    tgrid = TimeGrid(T=T, nt=nt)
-    return params, grid, tgrid
-
-
-def control_field(params, grid, tgrid, fn):
-    w = omega_mask(grid, params)
-    vals = np.zeros((grid.nnodes, tgrid.nt + 1))
-    x = grid.coords[:, 0]
-    for k, t in enumerate(tgrid.times):
-        vals[w, k] = fn(x[w], t)
-    vals[:, 0] = 0.0
-    return SpaceTimeField(grid, tgrid, vals)
+from .conftest import control_field, seeded_field, setup_1d
 
 
 def staircase_measure(params, grid):
@@ -74,20 +59,6 @@ def test_manufactured_gradient_term():
     assert bd.grad_term == pytest.approx(np.pi ** 2 / 6, rel=2e-3)
 
 
-def seeded_field(grid, tgrid, seed, omega_only=None, params=None):
-    rng = np.random.default_rng(seed)
-    x = grid.coords[:, 0][:, None]
-    t = tgrid.times[None, :]
-    vals = np.zeros((grid.nnodes, tgrid.nt + 1))
-    for m in range(1, 4):
-        a, b = rng.normal(size=2)
-        vals += a * np.sin(m * np.pi * x) * np.sin(m * np.pi * t / tgrid.T) \
-            + b * np.sin(m * np.pi * x) * np.cos(m * np.pi * t / tgrid.T)
-    if omega_only is not None:
-        vals[~omega_mask(grid, params)] = 0.0
-    return SpaceTimeField(grid, tgrid, vals)
-
-
 @pytest.mark.parametrize("checker", [
     check_M_decomposition,
     check_GH_decomposition,
@@ -103,13 +74,9 @@ def test_decompositions_second_order(checker):
     gaps = []
     for nt in nts:
         params, grid, tgrid = setup_1d(nx=9, nt=nt)
-        worst = 0.0
-        for seed in (5, 21, 33):
-            fld = seeded_field(grid, tgrid, seed)
-            norm2 = float(np.max(np.abs(fld.values))) ** 2
-            lhs, rhs = checker(fld, params)
-            worst = max(worst, abs(lhs - rhs) / norm2)
-        gaps.append(worst)
+        gaps.append(max(decomposition_gap(params, checker,
+                                          seeded_field(grid, tgrid, seed))
+                        for seed in (5, 21, 33)))
     # C calibrated once on the coarsest grid: C = 25
     assert gaps[0] <= 25.0 * (1.0 / nts[0]) ** 2
     order = np.polyfit(np.log([1.0 / nt for nt in nts]), np.log(gaps), 1)[0]
@@ -136,7 +103,7 @@ def test_decomposition_scaling_quadratic():
 
 def test_gh_decomposition_rhs_nonnegative():
     params, grid, tgrid = setup_1d(nx=17, nt=32)
-    u = seeded_field(grid, tgrid, seed=9, omega_only=True, params=params)
+    u = seeded_field(grid, tgrid, seed=9, params=params)
     _, rhs = check_GH_decomposition(u, params)
     assert rhs >= 0.0
 
@@ -154,8 +121,7 @@ def test_fp_identity_desk_scale():
     f = SpaceTimeField.from_function(grid, tgrid, lambda x, t: 1.0 + 0 * x)
     res = solve_optimality(f, params)
     assert res.converged
-    lhs, rhs = check_fp_identity(f, res, params)
-    assert abs(lhs - rhs) / abs(rhs) <= 1e-3
+    assert fp_identity_gap(params, f, res) <= 1e-3
 
 
 def test_gradient_zero_direction():
@@ -178,19 +144,7 @@ def test_gradient_matches_central_difference(seed):
     dv = control_field(params, grid, tgrid,
                        lambda x, t: rng.normal() * np.cos(2 * x) * t
                        + rng.normal() * t ** 3)
-
-    def J(v):
-        u, rep = solve_state(StateProblem(params=params, f=f, v=v, tol=1e-12))
-        assert rep.converged
-        return evaluate_J0(v, u, params).total
-
-    u0, _ = solve_state(StateProblem(params=params, f=f, v=v0, tol=1e-12))
-    grad = gradient_J0(v0, u0, params, dv, tol=1e-12)
-    lam = 1e-3
-    vp = SpaceTimeField(grid, tgrid, v0.values + lam * dv.values)
-    vm = SpaceTimeField(grid, tgrid, v0.values - lam * dv.values)
-    fd = (J(vp) - J(vm)) / (2 * lam)
-    assert grad == pytest.approx(fd, rel=1e-5)
+    assert gradient_fd_gap(params, f, v0, dv) <= 1e-5
 
 
 def test_gradient_linear_in_direction():

@@ -5,14 +5,8 @@ from memoctrl import (SpaceTimeField, SpatialGrid, TimeGrid, lift_timeop,
                       make_params, omega_mask, solve_adjoint, solve_optimality)
 from memoctrl.optimality import control_from_adjoint, extract_control_ode
 
+from .conftest import setup_1d
 from .oracles import dense_optimality_solve, shoot_h_gstar
-
-
-def setup_1d(nx=33, nt=64, T=1.0):
-    params = make_params(n=3, C0=1.0, N=1.0, T=T)
-    grid = SpatialGrid(params.domain_box, (nx,))
-    tgrid = TimeGrid(T=T, nt=nt)
-    return params, grid, tgrid
 
 
 def test_adjoint_zero_state():

@@ -1,31 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.fft import dstn
 
 from memoctrl import (Box, SpaceTimeField, SpatialGrid, StateProblem,
-                      TimeGrid, lift_timeop, make_params, omega_mask,
-                      residual_state, solve_adjoint, solve_linearized,
-                      solve_state)
+                      TimeGrid, make_params, omega_mask, residual_state,
+                      solve_adjoint, solve_linearized, solve_state)
 from memoctrl.state import _anderson, _march_cn, discretization
+from memoctrl import verify
+from memoctrl.verify import (dense_state_gap, gradient_fd_gap,
+                             manufactured_state)
 
-from .oracles import dense_state_solve
-
-
-def setup_1d(nx=33, nt=64, T=1.0, **kw):
-    params = make_params(n=3, C0=1.0, N=1.0, T=T, **kw)
-    grid = SpatialGrid(params.domain_box, (nx,))
-    tgrid = TimeGrid(T=T, nt=nt)
-    return params, grid, tgrid
-
-
-def admissible_control(params, grid, tgrid, fn):
-    w = omega_mask(grid, params)
-    vals = np.zeros((grid.nnodes, tgrid.nt + 1))
-    x = grid.coords[:, 0]
-    for k, t in enumerate(tgrid.times):
-        vals[w, k] = fn(x[w], t)
-    vals[:, 0] = 0.0
-    return SpaceTimeField(grid, tgrid, vals)
+from .conftest import control_field, setup_1d
 
 
 def test_zero_data_zero_solution():
@@ -50,28 +37,9 @@ def test_inadmissible_control_rejected():
         StateProblem(params=params, f=f, v=SpaceTimeField(grid, tgrid, vals))
 
 
-def manufactured_problem(params, grid, tgrid):
-    """u* = sin(pi x) t; the memory terms in f* use the production lifts, so
-    a converged solve must reproduce u* up to the marching scheme's own
-    O(h^2 + dt^2) truncation."""
-    x = grid.coords[:, 0][:, None]
-    t = tgrid.times[None, :]
-    u_star = SpaceTimeField(grid, tgrid, np.sin(np.pi * x) * t)
-    du_dt = np.sin(np.pi * x) * np.ones_like(t)
-    lap = -np.pi ** 2 * u_star.values
-    w = omega_mask(grid, params)
-    Hu = lift_timeop(u_star, "H", params).values
-    Mu = lift_timeop(u_star, "M", params).values
-    f_vals = du_dt - lap + params.An * u_star.values
-    f_vals[w] -= params.An * params.Bn * Hu[w]
-    f_vals[~w] -= params.An * params.Bn * Mu[~w]
-    f_vals[grid.boundary_mask] = 0.0
-    return SpaceTimeField(grid, tgrid, f_vals), u_star
-
-
 def mms_error(nx, nt):
     params, grid, tgrid = setup_1d(nx=nx, nt=nt)
-    f, u_star = manufactured_problem(params, grid, tgrid)
+    f, u_star = manufactured_state(params, grid, tgrid)
     u, report = solve_state(StateProblem(params=params, f=f, tol=1e-10))
     assert report.converged
     return np.max(np.abs(u.values - u_star.values))
@@ -85,7 +53,7 @@ def test_manufactured_solution_second_order():
 
 def test_residual_contracts():
     params, grid, tgrid = setup_1d()
-    f, _ = manufactured_problem(params, grid, tgrid)
+    f, _ = manufactured_state(params, grid, tgrid)
     prob = StateProblem(params=params, f=f, tol=1e-9)
     u, report = solve_state(prob)
     assert residual_state(u, prob) <= prob.tol
@@ -96,7 +64,7 @@ def test_residual_contracts():
 
 def test_residual_linear_in_perturbation():
     params, grid, tgrid = setup_1d(nx=17, nt=16)
-    f, _ = manufactured_problem(params, grid, tgrid)
+    f, _ = manufactured_state(params, grid, tgrid)
     prob = StateProblem(params=params, f=f, tol=1e-11)
     u, _ = solve_state(prob)
     node = grid.interior_idx[3]
@@ -110,7 +78,7 @@ def test_residual_linear_in_perturbation():
 
 def test_picard_monotone_after_burn_in():
     params, grid, tgrid = setup_1d(nx=33, nt=64)
-    f, _ = manufactured_problem(params, grid, tgrid)
+    f, _ = manufactured_state(params, grid, tgrid)
     _, report = solve_state(StateProblem(params=params, f=f, tol=1e-10))
     hist = report.residual_history
     assert all(b < a for a, b in zip(hist[2:], hist[3:]))
@@ -118,9 +86,9 @@ def test_picard_monotone_after_burn_in():
 
 def test_affinity_of_state_map():
     params, grid, tgrid = setup_1d(nx=25, nt=32)
-    f, _ = manufactured_problem(params, grid, tgrid)
-    v1 = admissible_control(params, grid, tgrid, lambda x, t: np.sin(2 * x) * t)
-    v2 = admissible_control(params, grid, tgrid, lambda x, t: x * t ** 2)
+    f, _ = manufactured_state(params, grid, tgrid)
+    v1 = control_field(params, grid, tgrid, lambda x, t: np.sin(2 * x) * t)
+    v2 = control_field(params, grid, tgrid, lambda x, t: x * t ** 2)
     v12 = SpaceTimeField(grid, tgrid, v1.values + v2.values)
     u_a, _ = solve_state(StateProblem(params=params, f=f, v=v12, tol=1e-11))
     u_b, _ = solve_state(StateProblem(params=params, f=f, v=v1, tol=1e-11))
@@ -131,7 +99,7 @@ def test_affinity_of_state_map():
 
 def test_linearized_homogeneity():
     params, grid, tgrid = setup_1d(nx=25, nt=32)
-    v = admissible_control(params, grid, tgrid, lambda x, t: np.cos(x) * t)
+    v = control_field(params, grid, tgrid, lambda x, t: np.cos(x) * t)
     v2 = SpaceTimeField(grid, tgrid, 2.0 * v.values)
     th1 = solve_linearized(v, params, tol=1e-12)
     th2 = solve_linearized(v2, params, tol=1e-12)
@@ -140,9 +108,9 @@ def test_linearized_homogeneity():
 
 def test_linearized_is_difference_quotient():
     params, grid, tgrid = setup_1d(nx=17, nt=32)
-    f, _ = manufactured_problem(params, grid, tgrid)
-    v0 = admissible_control(params, grid, tgrid, lambda x, t: x * t)
-    dv = admissible_control(params, grid, tgrid,
+    f, _ = manufactured_state(params, grid, tgrid)
+    v0 = control_field(params, grid, tgrid, lambda x, t: x * t)
+    dv = control_field(params, grid, tgrid,
                             lambda x, t: np.sin(3 * x) * t ** 2)
     theta = solve_linearized(dv, params, tol=1e-12)
     for lam in (1e-2, 1e-3):
@@ -155,8 +123,8 @@ def test_linearized_is_difference_quotient():
 
 def test_control_outside_omega_never_enters():
     params, grid, tgrid = setup_1d(nx=17, nt=16)
-    f, _ = manufactured_problem(params, grid, tgrid)
-    v = admissible_control(params, grid, tgrid, lambda x, t: x * t)
+    f, _ = manufactured_state(params, grid, tgrid)
+    v = control_field(params, grid, tgrid, lambda x, t: x * t)
     u_ref, _ = solve_state(StateProblem(params=params, f=f, v=v, tol=1e-11))
     tampered = StateProblem(params=params, f=f, v=v, tol=1e-11)
     # mutate after validation: values outside omega must be ignored entirely
@@ -172,12 +140,8 @@ def test_dense_oracle_small_instance():
     t = tgrid.times[None, :]
     f = SpaceTimeField(grid, tgrid,
                        np.sin(np.pi * x) * (1.0 + t) * 1.0)
-    v = admissible_control(params, grid, tgrid, lambda xs, tt: xs * tt)
-    u, report = solve_state(StateProblem(params=params, f=f, v=v, tol=1e-12))
-    assert report.converged
-    dense = dense_state_solve(params, grid, tgrid, f.values, v.values)
-    gap = np.max(np.abs(u.values[grid.interior_idx] - dense))
-    assert gap < 1e-6
+    v = control_field(params, grid, tgrid, lambda xs, tt: xs * tt)
+    assert dense_state_gap(params, f, v) < 1e-6
 
 
 def test_dense_oracle_empty_omega():
@@ -191,11 +155,24 @@ def test_dense_oracle_empty_omega():
     x = grid.coords[:, 0][:, None]
     t = tgrid.times[None, :]
     f = SpaceTimeField(grid, tgrid, x * (1 - x) * np.exp(-t))
-    u, report = solve_state(StateProblem(params=params, f=f, tol=1e-12))
-    assert report.converged
-    dense = dense_state_solve(params, grid, tgrid, f.values,
-                              np.zeros_like(f.values))
-    assert np.max(np.abs(u.values[grid.interior_idx] - dense)) < 1e-6
+    assert dense_state_gap(params, f, None) < 1e-6
+
+
+def test_gap_functions_refuse_unconverged_solves(monkeypatch):
+    # a solve that stops at its Picard cap can still sit near the dense
+    # solve, so the gap must not be reported at all
+    def capped(problem):
+        u, report = solve_state(problem)
+        return u, replace(report, converged=False)
+
+    monkeypatch.setattr(verify, "solve_state", capped)
+    params, grid, tgrid = setup_1d(nx=9, nt=8)
+    f = SpaceTimeField(grid, tgrid, np.ones((grid.nnodes, tgrid.nt + 1)))
+    v = control_field(params, grid, tgrid, lambda xs, tt: xs * tt)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        dense_state_gap(params, f, v)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        gradient_fd_gap(params, f, v, v)
 
 
 def test_nan_detection_aborts():
@@ -208,22 +185,13 @@ def test_nan_detection_aborts():
 
 
 def test_dense_oracle_2d():
-    # the unit square, an anisotropic box with unequal node counts and
-    # spacings per axis, and a 3-D grid; every omega box keeps off the
-    # boundary nodes
-    cases = [
-        (Box((0.0, 0.0), (1.0, 1.0)), Box((0.25, 0.25), (0.75, 0.75)),
-         (7, 7)),
-        (Box((0.0, 0.0), (2.0, 1.0)), Box((0.5, 0.25), (1.5, 0.75)),
-         (7, 5)),
-        (Box((0.0,) * 3, (1.0,) * 3), Box((0.25,) * 3, (0.75,) * 3),
-         (5, 4, 5)),
-    ]
-    for domain, omega, shape in cases:
-        params = make_params(n=3, C0=1.0, N=1.0, T=1.0, sim_dim=domain.dim,
-                             domain_box=domain, omega_box=omega)
-        grid = SpatialGrid(params.domain_box, shape)
-        tgrid = TimeGrid(T=1.0, nt=8)
+    # the unit square, then the GRIDS below: an anisotropic box with unequal
+    # node counts and spacings per axis, and a 3-D grid; every omega box
+    # keeps off the boundary nodes
+    square = (Box((0.0, 0.0), (1.0, 1.0)), Box((0.25, 0.25), (0.75, 0.75)),
+              (7, 7))
+    for domain, omega, shape in [square] + GRIDS[1:]:
+        params, grid, tgrid = grid_case(domain, omega, shape)
         t = tgrid.times[None, :]
         bump = np.ones((grid.nnodes, 1))
         for ax in range(grid.dim):
@@ -231,12 +199,8 @@ def test_dense_oracle_2d():
             bump *= np.sin(np.pi * (x - domain.lo[ax])
                            / (domain.hi[ax] - domain.lo[ax]))
         f = SpaceTimeField(grid, tgrid, (1.0 + bump) * np.ones_like(t))
-        u, report = solve_state(StateProblem(params=params, f=f, tol=1e-12))
-        assert report.converged
         assert omega_mask(grid, params).any()
-        dense = dense_state_solve(params, grid, tgrid, f.values,
-                                  np.zeros_like(f.values))
-        assert np.max(np.abs(u.values[grid.interior_idx] - dense)) < 1e-6
+        assert dense_state_gap(params, f, None) < 1e-6
 
 
 def _march_three_term(ctx, rhs, ic):

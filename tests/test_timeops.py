@@ -7,16 +7,14 @@ from memoctrl import (TimeGrid, TimeSeries, apply_h, apply_hstar, bvp_gstar_h,
                       bvp_h_gstar, inner_product, make_params, relax_backward,
                       relax_forward, time_derivative)
 from memoctrl.timeops import (_exp_weights, apply_h_values,
-                              apply_hstar_values, bvp_gstar_h_values,
-                              bvp_h_gstar_values, relax_forward_values)
+                              apply_hstar_values, relax_forward_values)
+from memoctrl.verify import (adjoint_pairs, composition_gaps, duality_gap,
+                             shooting_gaps)
 
-from .conftest import fourier_callable, fourier_series, run_fresh_python
+from .conftest import (fourier_callable, fourier_series, run_fresh_python,
+                       series)
 from .oracles import (picard_h, picard_hstar, rk4_march, rk4_relax_forward,
                       shoot_gstar_h, shoot_h_gstar)
-
-
-def series(grid, fn):
-    return TimeSeries(grid, fn(grid.times))
 
 
 # --- relaxation maps ----------------------------------------------------------
@@ -148,9 +146,7 @@ def test_bvp_gstar_h_matches_shooting(params, seed):
     rng = np.random.default_rng(100 + seed)
     fn = fourier_callable(rng, T=1.0)
     grid = TimeGrid(T=1.0, nt=2000)
-    A = bvp_gstar_h(series(grid, lambda t: fn(t)), params)
-    oracle = shoot_gstar_h(fn, params.Bn, params.mu, grid.T, grid.nt)
-    assert np.max(np.abs(A.values - oracle)) < 1e-6
+    assert max(shooting_gaps(params, fn, grid).values()) < 1e-6
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -158,9 +154,7 @@ def test_bvp_h_gstar_matches_shooting(params, seed):
     rng = np.random.default_rng(200 + seed)
     fn = fourier_callable(rng, T=1.0)
     grid = TimeGrid(T=1.0, nt=2000)
-    C = bvp_h_gstar(series(grid, lambda t: fn(t)), params)
-    oracle = shoot_h_gstar(fn, params.Bn, params.mu, grid.T, grid.nt)
-    assert np.max(np.abs(C.values - oracle)) < 1e-6
+    assert max(shooting_gaps(params, fn, grid).values()) < 1e-6
 
 
 def shoot_reference(fn, kappa, hom0, T, nt, sub=4):
@@ -191,14 +185,8 @@ def test_affine_shooting_matches_stepwise_rk4(params):
 
 def test_bvp_sine_source_vs_shooting(params):
     grid = TimeGrid(T=1.0, nt=2000)
-    A = bvp_gstar_h(series(grid, lambda t: np.sin(np.pi * t)), params)
-    oracle = shoot_gstar_h(lambda t: np.sin(np.pi * t),
-                           params.Bn, params.mu, grid.T, grid.nt)
-    assert np.max(np.abs(A.values - oracle)) < 1e-6
-    C = bvp_h_gstar(series(grid, lambda t: np.cos(np.pi * t / 2)), params)
-    oracle_c = shoot_h_gstar(lambda t: np.cos(np.pi * t / 2),
-                             params.Bn, params.mu, grid.T, grid.nt)
-    assert np.max(np.abs(C.values - oracle_c)) < 1e-6
+    for fn in (lambda t: np.sin(np.pi * t), lambda t: np.cos(np.pi * t / 2)):
+        assert max(shooting_gaps(params, fn, grid).values()) < 1e-6
 
 
 def test_bvp_h_gstar_is_mirror_of_gstar_h(params, tgrid):
@@ -243,75 +231,53 @@ def test_h_operators_match_picard_oracle(params, maker, oracle):
 
 # --- duality and the composition identities -------------------------------------
 
-def _dual_gap(op_fwd, op_bwd, grid, rng):
-    phi = fourier_series(grid, rng)
-    psi = fourier_series(grid, rng)
-    lhs = inner_product(op_fwd(phi), psi)
-    rhs = inner_product(phi, op_bwd(psi))
-    norm = math.sqrt(inner_product(phi, phi) * inner_product(psi, psi))
-    return abs(lhs - rhs) / norm
+def draws(grid, rng):
+    """Two seeded smooth sample arrays, phi then psi."""
+    return fourier_series(grid, rng).values, fourier_series(grid, rng).values
 
 
-@pytest.mark.parametrize("rate_name", ["Bn", "mu"])
-def test_relax_duality(params, tgrid, rate_name):
-    rate = getattr(params, rate_name)
+@pytest.mark.parametrize("name", [pytest.param("M", id="Bn"),
+                                  pytest.param("G", id="mu")])
+def test_relax_duality(params, tgrid, name):
+    pair = adjoint_pairs(params, tgrid.dt)[name]
     rng = np.random.default_rng(42)
     for _ in range(20):
-        gap = _dual_gap(lambda s: relax_forward(s, rate),
-                        lambda s: relax_backward(s, rate), tgrid, rng)
-        assert gap < 1e-4
+        assert duality_gap(pair, tgrid, *draws(tgrid, rng)) < 1e-4
 
 
 def test_h_duality(params, tgrid):
+    pair = adjoint_pairs(params, tgrid.dt)["H"]
     rng = np.random.default_rng(43)
     for _ in range(20):
-        gap = _dual_gap(lambda s: apply_h(s, params),
-                        lambda s: apply_hstar(s, params), tgrid, rng)
-        assert gap < 1e-4
+        assert duality_gap(pair, tgrid, *draws(tgrid, rng)) < 1e-4
 
 
 def test_duality_gap_shrinks_second_order(params):
     gaps = []
     for nt in (256, 512):
         grid = TimeGrid(T=1.0, nt=nt)
+        pair = adjoint_pairs(params, grid.dt)["H"]
         rng = np.random.default_rng(99)
-        gaps.append(max(_dual_gap(lambda s: apply_h(s, params),
-                                  lambda s: apply_hstar(s, params), grid, rng)
+        gaps.append(max(duality_gap(pair, grid, *draws(grid, rng))
                         for _ in range(5)))
     assert gaps[1] <= gaps[0] / 3.5
 
 
 def test_composition_identities(params, tgrid):
-    rng = np.random.default_rng(5)
-    phi = fourier_series(tgrid, rng)
-    norm = float(np.max(np.abs(phi.values)))
-
-    # G*(H(phi)) computed directly vs composed
-    direct = bvp_gstar_h(phi, params)
-    composed = relax_backward(apply_h(phi, params), params.mu)
-    assert np.max(np.abs(direct.values - composed.values)) < 1e-4 * norm
-
-    # H(G*(phi)) computed directly vs composed, and = G(H*(phi))
-    direct2 = bvp_h_gstar(phi, params)
-    composed2 = relax_forward(apply_hstar(phi, params), params.mu)
-    assert np.max(np.abs(direct2.values - composed2.values)) < 1e-4 * norm
-
+    # G*(H(phi)) = G*H(phi), G(H*(phi)) = HG*(phi), and
     # H(phi) = G(phi) + (mu/N) G(H*(G(phi)))
-    g = relax_forward(phi, params.mu)
-    rebuilt = g.values + (params.mu / params.N) * relax_forward(
-        apply_hstar(g, params), params.mu).values
-    assert np.max(np.abs(apply_h(phi, params).values - rebuilt)) < 1e-4 * norm
+    phi = fourier_series(tgrid, np.random.default_rng(5)).values
+    norm = float(np.max(np.abs(phi)))
+    for name, gap in composition_gaps(params, tgrid.dt, phi).items():
+        assert gap < 1e-4 * norm, name
 
 
 def test_composition_identities_decay_second_order(params):
     errs = []
     for nt in (256, 512):
         grid = TimeGrid(T=1.0, nt=nt)
-        rng = np.random.default_rng(6)
-        phi = fourier_series(grid, rng)
-        direct = bvp_gstar_h(phi, params)
-        composed = relax_backward(apply_h(phi, params), params.mu)
-        errs.append(np.max(np.abs(direct.values - composed.values)))
+        phi = fourier_series(grid, np.random.default_rng(6)).values
+        errs.append(composition_gaps(params, grid.dt, phi)["GstarH"])
     assert errs[1] <= errs[0] / 3.5
 
 
@@ -353,12 +319,9 @@ def test_operator_convergence_against_oracles(params):
     for nt in (250, 500):
         grid = TimeGrid(T=1.0, nt=nt)
         src = fn(grid.times)
-        errs["G*H"].append(np.max(np.abs(
-            bvp_gstar_h_values(src, params.Bn, params.mu, grid.dt)
-            - shoot_gstar_h(fn, params.Bn, params.mu, grid.T, nt))))
-        errs["HG*"].append(np.max(np.abs(
-            bvp_h_gstar_values(src, params.Bn, params.mu, grid.dt)
-            - shoot_h_gstar(fn, params.Bn, params.mu, grid.T, nt))))
+        shoot = shooting_gaps(params, fn, grid)
+        errs["G*H"].append(shoot["GstarH"])
+        errs["HG*"].append(shoot["HGstar"])
         oracle_h = picard_h(src, params.Bn, params.mu, grid.dt)
         errs["H"].append(np.max(np.abs(
             apply_h_values(src, params.Bn, params.mu, grid.dt) - oracle_h)))
