@@ -4,8 +4,8 @@ from .cost import (CostBreakdown, check_fp_identity, check_GH_decomposition,
                    check_HGstar_decomposition, check_M_decomposition,
                    evaluate_J0, gradient_J0)
 from .fields import (SpaceTimeField, SpatialGrid, integrate_space_at,
-                     integrate_spacetime, laplacian_matrix, laplacian_slice,
-                     lift_timeop, omega_mask, spacetime_inner)
+                     integrate_spacetime, lift_timeop, neg_laplacian,
+                     omega_mask, spacetime_inner)
 from .optimality import (OptimalityResult, control_from_adjoint,
                          direct_minimize, extract_control_ode, solve_adjoint,
                          solve_optimality)

@@ -14,6 +14,7 @@ import argparse
 import copy
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cost import check_fp_identity, evaluate_J0
-from .fields import SpaceTimeField, SpatialGrid, omega_mask
+from .cost import evaluate_J0
+from .fields import SpaceTimeField, SpatialGrid, omega_mask, spacetime_inner
 from .optimality import solve_optimality
 from .params import Box, make_params
 from .state import StateProblem, solve_state
@@ -108,6 +109,7 @@ def normalize_config(raw):
     for key in ("domain_box", "omega_box"):
         if set(cfg[key]) != {"lo", "hi"}:
             raise ConfigError(f"{key} needs the keys 'lo' and 'hi' only")
+    cfg["n"] = _count(cfg["n"], "n (analysis dimension)", 3)
     try:
         params = build_params(cfg)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -117,6 +119,12 @@ def normalize_config(raw):
         raise ConfigError("nodes_per_axis must list one count per axis")
     cfg["nodes_per_axis"] = [_count(m, "nodes per axis", 3) for m in nodes]
     cfg["nt"] = _count(cfg["nt"], "nt (time intervals)", 2)
+    dt = params.T / cfg["nt"]  # dt * dt, unlike dt ** 2, cannot raise
+    for name, value in (("An", params.An), ("Bn", params.Bn), ("mu", params.mu),
+                        ("1/dt^2", 1.0 / (dt * dt) if dt * dt else math.inf)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"derived constant {name} = {value!r} is not "
+                              f"finite and positive")
     s = cfg["solver"]
     for k in ("max_picard", "outer_max"):
         s[k] = _count(s[k], f"solver {k}", 1)
@@ -136,6 +144,16 @@ def normalize_config(raw):
             raise ConfigError(f"source csv not found: {src['csv']}")
     elif src.get("preset") not in ("constant", "sine-product", "gaussian-bump"):
         raise ConfigError(f"unknown source preset {src.get('preset')!r}")
+    elif src["preset"] == "gaussian-bump":
+        width = _real(src.get("width", 0.2), "source width")
+        if not 0 < width * width < math.inf:
+            raise ConfigError(f"source width must be > 0 with a finite, "
+                              f"nonzero square, got {width!r}")
+        center = src.get("center", [0.0] * cfg["sim_dim"])
+        if not isinstance(center, list) or len(center) != cfg["sim_dim"]:
+            raise ConfigError("source center must list one number per axis")
+        for c in center:
+            _real(c, "source center coordinate")
     if cfg["control"].get("preset") not in ("zero", "ramp", "sine"):
         raise ConfigError(f"unknown control preset "
                           f"{cfg['control'].get('preset')!r}")
@@ -299,12 +317,24 @@ def _resolution(params, grid, tgrid):
             "An_h2": params.An * max(grid.h) ** 2}
 
 
-def _exit_code(converged, loop, cap, residual):
-    """0 for a converged loop; else 2, with a stderr line saying why."""
-    if not converged:
-        print(f"solver error: {loop} reached {cap} without meeting its "
-              f"tolerance (final residual {residual:.3e})", file=sys.stderr)
-    return 0 if converged else 2
+# each manifest report's loop and the solver option that caps it
+_LOOPS = {"state": ("state Picard loop", "max_picard"),
+          "adjoint": ("adjoint Picard loop", "max_picard"),
+          "outer": ("outer sweep loop", "outer_max")}
+
+
+def _exit_code(manifest):
+    """0 if every reported loop converged; else 2, with one stderr line
+    naming the first that did not."""
+    for key, report in manifest["reports"].items():
+        if not report["converged"]:
+            loop, cap = _LOOPS[key]
+            print(f"solver error: {loop} reached {cap} = "
+                  f"{manifest['config']['solver'][cap]} without meeting its "
+                  f"tolerance (final residual {report['final_residual']:.3e})",
+                  file=sys.stderr)
+            return 2
+    return 0
 
 
 def _report_dict(report):
@@ -331,8 +361,7 @@ def cmd_solve(cfg, out_dir):
     field_to_csv(u, out_dir / "u0.csv")
     manifest["outputs"].append("u0.csv")
     _write_manifest(out_dir, manifest)
-    return _exit_code(report.converged, "state Picard loop",
-                      f"max_picard = {s['max_picard']}", report.final_residual)
+    return _exit_code(manifest)
 
 
 def cmd_optimize(cfg, out_dir):
@@ -362,14 +391,13 @@ def cmd_optimize(cfg, out_dir):
     breakdown = evaluate_J0(result.v0, result.u0, params)
     breakdown_to_files(breakdown, out_dir)
     manifest["outputs"] += ["breakdown.json", "breakdown.csv"]
-    lhs, rhs = check_fp_identity(f, result, params)
+    lhs, rhs = breakdown.total, spacetime_inner(f, result.p0)
     manifest["fp_identity"] = {
         "J0_total": lhs, "integral_f_p0": rhs,
         "rel_gap": abs(lhs - rhs) / max(abs(rhs), 1e-300),
     }
     _write_manifest(out_dir, manifest)
-    return _exit_code(result.converged, "outer sweep loop",
-                      f"outer_max = {s['outer_max']}", result.outer_residual)
+    return _exit_code(manifest)
 
 
 def cmd_verify(cfg, out_dir, seed, tamper_an=1.0):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .params import Box
 from .timeops import (TimeGrid, apply_h_values, apply_hstar_values,
@@ -98,46 +97,31 @@ def omega_mask(grid, params):
     return mask
 
 
-def _dirichlet_1d(m, h):
-    """(m-2) x (m-2) second-difference matrix of -d2/dx2 with zero boundary."""
-    n = m - 2
-    main = np.full(n, 2.0 / h ** 2)
-    off = np.full(n - 1, -1.0 / h ** 2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+def neg_laplacian(grid, u):
+    """-Laplacian by the 2d+1-point stencil with zero Dirichlet data.
 
-
-def laplacian_matrix(grid):
-    """Sparse matrix of -Laplacian on interior nodes (SPD), Dirichlet eliminated.
-
-    Interior nodes are ordered in C-order of the full grid, which matches
-    grid.interior_idx.
+    Rows of u are the interior nodes in the C-order of grid.interior_idx;
+    trailing axes (time levels, say) are carried along.  On the flat array
+    a neighbour sits one axis stride away, so each shift is one contiguous
+    subtraction of a scaled work array whose layer that would wrap into
+    the next block is zeroed first.
     """
-    mats = [_dirichlet_1d(m, h) for m, h in zip(grid.shape, grid.h)]
-    sizes = [mat.shape[0] for mat in mats]
-    L = None
-    for ax, mat in enumerate(mats):
-        before = int(np.prod(sizes[:ax], dtype=int))
-        after = int(np.prod(sizes[ax + 1:], dtype=int))
-        term = sp.kron(sp.identity(before, format="csr"),
-                       sp.kron(mat, sp.identity(after, format="csr")))
-        L = term if L is None else L + term
-    return L.tocsr()
-
-
-def laplacian_slice(grid, slab):
-    """Central-difference Laplacian of one time slice; zero at boundary nodes."""
-    cube = np.asarray(slab, dtype=float).reshape(grid.shape)
-    out = np.zeros_like(cube)
-    core = tuple(slice(1, -1) for _ in range(grid.dim))
-    acc = np.zeros_like(cube[core])
-    for ax, h in enumerate(grid.h):
-        lo = [slice(1, -1)] * grid.dim
-        hi = [slice(1, -1)] * grid.dim
-        lo[ax] = slice(0, -2)
-        hi[ax] = slice(2, None)
-        acc += (cube[tuple(lo)] - 2.0 * cube[core] + cube[tuple(hi)]) / h ** 2
-    out[core] = acc
-    return out.ravel()
+    flat = u.reshape(-1)
+    out = flat * sum(2.0 / h ** 2 for h in grid.h)
+    work = np.empty_like(out)
+    stride = flat.size
+    for m, h in zip(grid.shape, grid.h):
+        n, c = m - 2, 1.0 / h ** 2
+        stride //= n
+        # (nodes before, nodes along this axis, values after)
+        rows = work.reshape(-1, n, stride)
+        np.multiply(flat, c, out=work)
+        rows[:, -1] = 0.0
+        out[stride:] -= work[:-stride]  # the neighbour below
+        np.multiply(flat.reshape(rows.shape)[:, -1], c, out=rows[:, -1])
+        rows[:, 0] = 0.0
+        out[:-stride] -= work[stride:]  # the neighbour above
+    return out.reshape(u.shape)
 
 
 @dataclass
@@ -270,33 +254,16 @@ def dt_inner(a, b, mask=None):
 
 
 def grad_inner(a, b):
-    """<grad a, grad b> over the space-time cylinder.
+    """<grad a, grad b> over the space-time cylinder, as <a, -Lap_h b>.
 
-    Gradient components are central differences at cell midpoints (the
-    staggered form), integrated cell-wise along their own axis and by
-    trapezoid transversally and in time.  This is the discrete Dirichlet
-    energy of the interior Laplacian stencil, which keeps the energy
-    pairings consistent with the marching schemes; the node-centered
-    variant carries a much larger constant near the boundary for
-    incompatible data.
+    Precondition: a and b vanish on the boundary nodes (their values there
+    are ignored), as every state and linearised state does.  Summation by
+    parts then makes this the staggered Dirichlet energy -- midpoint first
+    differences, integrated cell-wise along their axis and by trapezoid
+    across and in time -- consistent with the marching schemes.
     """
     check_compatible(a, b)
-    grid, tgrid = a.grid, a.tgrid
-    wt = trapezoid_weights(tgrid.nt, tgrid.dt)
-    A = a.values.reshape(grid.shape + (tgrid.nt + 1,))
-    B = b.values.reshape(grid.shape + (tgrid.nt + 1,))
-    total = 0.0
-    for ax, h in enumerate(grid.h):
-        da = np.diff(A, axis=ax) / h
-        db = np.diff(B, axis=ax) / h
-        wgt = np.array(1.0)
-        for j, (m, hj) in enumerate(zip(grid.shape, grid.h)):
-            if j == ax:
-                w1 = np.full(m - 1, hj)
-            else:
-                w1 = np.full(m, hj)
-                w1[0] = w1[-1] = hj / 2.0
-            wgt = np.multiply.outer(wgt, w1)
-        wgt = wgt.reshape(da.shape[:-1])
-        total += float(((da * db) @ wt * wgt).sum())
-    return total
+    grid, inner = a.grid, a.grid.interior_idx
+    wt = trapezoid_weights(a.tgrid.nt, a.tgrid.dt)
+    lap = neg_laplacian(grid, b.values[inner])
+    return float(space_weights(grid)[inner] @ (a.values[inner] * lap) @ wt)

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_banded
 
 from .cost import evaluate_J0
-from .fields import SpaceTimeField, lift_timeop
+from .fields import SpaceTimeField, lift_timeop, neg_laplacian
 from .state import (StateProblem, _anderson, _cn_residual, _embed,
                     _memory_values, _solve_parabolic_memory, _state_source,
                     discretization, solve_state)
@@ -58,8 +58,8 @@ def adjoint_source(u0, params):
     GH = lift_timeop(u0, "G*H", params)
     MM = lift_timeop(lift_timeop(u0, "M", params), "M*", params)
     vals = np.zeros_like(u0.values)
-    vals[interior] = ctx.L @ u0.values[interior] \
-        + params.An * u0.values[interior]
+    u_int = u0.values[interior]
+    vals[interior] = neg_laplacian(u0.grid, u_int) + params.An * u_int
     vals[w] -= params.An * params.Bn * params.mu * GH.values[w]
     c = interior[ctx.c_int]
     vals[c] -= params.An * params.Bn ** 2 * MM.values[c]
@@ -101,7 +101,7 @@ def control_from_adjoint(p0, params):
 
 
 def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
-                     inner_tol=None, max_picard=200):
+                     max_picard=200):
     """Anderson-accelerated Gauss-Seidel sweeps on the coupled system.
 
     The iterate is the control's controlled-region values; a sweep maps it
@@ -110,8 +110,7 @@ def solve_optimality(f, params, *, outer_tol=1e-7, outer_max=100,
     decade tighter than the outer tolerance, and from the second sweep on
     start from the previous sweep's u and p.
     """
-    if inner_tol is None:
-        inner_tol = min(1e-8, outer_tol / 10.0)
+    inner_tol = min(1e-8, outer_tol / 10.0)
     grid, tgrid = f.grid, f.tgrid
     ctx = discretization(params, grid, tgrid)
     interior, w = ctx.interior, ctx.omega

@@ -14,7 +14,7 @@ march all steps as one banded forward substitution (see _rk4_affine).
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .fields import laplacian_matrix, omega_mask
+from .fields import omega_mask
 from .timeops import (apply_h_values, bvp_gstar_h_values, bvp_h_gstar_values,
                       relax_backward_values, relax_forward_values)
 
@@ -137,6 +137,17 @@ def time_op_matrix(kernel, nt):
     return kernel(np.eye(nt + 1)).T
 
 
+def dense_neg_laplacian(grid):
+    """Dense -Laplacian on interior nodes, C-order of grid.interior_idx: the
+    Kronecker sum of the 1-D second differences with zero Dirichlet data,
+    built without the production stencil."""
+    L = np.zeros((1, 1))
+    for n, h in zip(np.subtract(grid.shape, 2), grid.h):
+        d2 = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
+        L = np.kron(L, np.eye(n)) + np.kron(np.eye(len(L)), d2)
+    return L
+
+
 def _add_cn_rows(A, row, col, params, grid, tgrid):
     """Add every interior node's Crank-Nicolson rows to A; return the nodes'
     omega flags and the interior Laplacian.
@@ -148,7 +159,7 @@ def _add_cn_rows(A, row, col, params, grid, tgrid):
     """
     nt, dt = tgrid.nt, tgrid.dt
     w_int = omega_mask(grid, params)[grid.interior_idx]
-    L = laplacian_matrix(grid).toarray()
+    L = dense_neg_laplacian(grid)
     An, Bn = params.An, params.Bn
     mem_omega, mem_rest = (An * Bn * time_op_matrix(op, nt) for op in (
         lambda e: apply_h_values(e, Bn, params.mu, dt),

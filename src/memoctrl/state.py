@@ -20,8 +20,8 @@ The march is exact: the Dirichlet Laplacian on the tensor grid is
 diagonalised by the orthonormal DST-I (Buzbee, Golub & Nielson, SIAM J.
 Numer. Anal. 7(4), 1970), so each sine mode obeys a scalar two-term
 Crank-Nicolson recurrence.  Everything that depends only on the model
-parameters and the two grids -- interior index, masks, quadrature weights,
-Laplacian and per-mode coefficients -- lives in one cached Discretization.
+parameters and the two grids -- interior index, masks, quadrature weights
+and per-mode coefficients -- lives in one cached Discretization.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dstn
 
 from .fields import (SpaceTimeField, SpatialGrid, check_compatible,
-                     laplacian_matrix, omega_mask, space_weights)
+                     neg_laplacian, omega_mask, space_weights)
 from .timeops import (TimeGrid, apply_h_values, relax_forward_values)
 
 
@@ -58,7 +57,6 @@ class Discretization:
     w_int: np.ndarray
     c_int: np.ndarray
     ws_int: np.ndarray
-    L: sp.csr_matrix
     decay: np.ndarray
     gain: np.ndarray
 
@@ -94,7 +92,6 @@ def discretization(params, grid, tgrid):
         omega=_readonly(omega), w_int=_readonly(w_int),
         c_int=_readonly(~w_int),
         ws_int=_readonly(space_weights(grid)[interior]),
-        L=laplacian_matrix(grid),
         decay=_readonly((inv_dt - s) / (inv_dt + s)),
         gain=_readonly(1.0 / (inv_dt + s)))
 
@@ -182,12 +179,10 @@ def _march_cn(ctx, rhs, ic):
 
 def _cn_residual(ctx, u_int, m_int, F_int):
     """Space-time L2 norm of the half-step Crank-Nicolson residual."""
-    An, dt = ctx.params.An, ctx.dt
-    total = F_int + m_int
-    lap = ctx.L @ u_int
-    r = ((u_int[:, 1:] - u_int[:, :-1]) / dt
-         + 0.5 * (An * u_int + lap - total)[:, 1:]
-         + 0.5 * (An * u_int + lap - total)[:, :-1])
+    g = (ctx.params.An * u_int + neg_laplacian(ctx.grid, u_int)
+         - (F_int + m_int))
+    r = (u_int[:, 1:] - u_int[:, :-1]) / ctx.dt + 0.5 * g[:, 1:] \
+        + 0.5 * g[:, :-1]
     return _space_time_norm(ctx, r)
 
 

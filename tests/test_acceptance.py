@@ -140,7 +140,7 @@ def test_criterion_06_dense_oracles():
                        (1.0 + 0.3 * np.sin(np.pi * x)) * np.ones_like(t))
     v = control_field(params, grid, tgrid, lambda xs, tt: xs * tt)
     gap_state = dense_state_gap(params, f, v)
-    result = solve_optimality(f, params, outer_tol=1e-11, inner_tol=1e-12)
+    result = solve_optimality(f, params, outer_tol=1e-11)
     du, dp = dense_optimality_solve(params, grid, tgrid, f.values)
     gap_u = np.max(np.abs(result.u0.values[grid.interior_idx] - du))
     gap_p = np.max(np.abs(result.p0.values[grid.interior_idx] - dp))

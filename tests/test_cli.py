@@ -8,6 +8,7 @@ import pytest
 from memoctrl.cli import (_CSV_BLOCK_NODES, ConfigError, _coordinate_text,
                           _sweep_point_config, build_params, field_from_csv,
                           field_to_csv, load_config, main, normalize_config)
+from memoctrl.cost import evaluate_J0
 from memoctrl.fields import SpaceTimeField, SpatialGrid
 from memoctrl.optimality import solve_optimality
 from memoctrl.params import Box, make_params
@@ -114,6 +115,12 @@ MALFORMED = [
     {"solver": {"max_picard": True}},
     {"nt": 10 ** 400},
     {"N": 10 ** 400},
+    {"source": {"preset": "gaussian-bump", "width": 0}},
+    {"source": {"preset": "gaussian-bump", "width": "a"}},
+    {"source": {"preset": "gaussian-bump", "center": [0.5, 0.5, 0.5]}},
+    {"n": 3.5},
+    {"T": 1e-300},  # 1/dt^2 overflows
+    {"C0": 1e308},  # An overflows
 ]
 
 
@@ -524,6 +531,41 @@ def test_optimize_outer_cap_exit_2_with_reason(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("cap, loop", [(1, "adjoint"), (2, "state")])
+def test_optimize_inner_cap_exit_2_with_reason(tmp_path, capsys, cap, loop):
+    # the sweeps converge, but the last sweep's Picard loops stop at the cap
+    cfg = write_cfg(tmp_path, {"nodes_per_axis": [17], "nt": 16,
+                               "solver": {"max_picard": cap}})
+    out = tmp_path / "o"
+    code = main(["--config", cfg, "--out", str(out), "optimize"])
+    lines = capsys.readouterr().err.splitlines()
+    reports = json.loads((out / "manifest.json").read_text())["reports"]
+    assert reports[loop]["converged"] is False
+    assert code == 2
+    assert len(lines) == 1
+    assert lines[0].startswith(f"solver error: {loop} Picard loop reached "
+                               f"max_picard = {cap}")
+
+
+def test_optimize_evaluates_cost_once(tmp_path, monkeypatch):
+    # breakdown.json and the fp identity share one J0 evaluation
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate_J0(*args)
+
+    for module in ("memoctrl.cli", "memoctrl.cost"):
+        monkeypatch.setattr(f"{module}.evaluate_J0", counted)
+    cfg = write_cfg(tmp_path, {"nodes_per_axis": [17], "nt": 16})
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "optimize"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    breakdown = json.loads((out / "breakdown.json").read_text())
+    assert len(calls) == 1
+    assert manifest["fp_identity"]["J0_total"] == breakdown["total"]
+
+
 def test_solve_picard_cap_exit_2_with_reason(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"nodes_per_axis": [17], "nt": 16,
                                "solver": {"max_picard": 1}})
@@ -557,24 +599,33 @@ def test_optimize_default_desk_grid_fp_gap(tmp_path):
     assert manifest["fp_identity"]["rel_gap"] <= 1e-3
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal would add ~0.4 s of import time and ~23 MB of RSS to
-    # every run; the time kernels use scipy.linalg's LAPACK wrappers instead
-    out = run_fresh_python(
-        "import sys, memoctrl.cli; print('scipy.signal' in sys.modules)")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
-
-
-def test_cli_and_capacity_oracle_do_not_load_scipy_integrate():
-    # scipy.integrate pulls in scipy.optimize, scipy.spatial and more: about
-    # 0.26 s of import time and 17 MB of RSS in every process.  The oracle
-    # runs before the check, so a lazy import inside it fails this test too.
+@pytest.fixture(scope="module")
+def fresh_scipy_modules():
+    """The scipy modules a new interpreter holds after importing the CLI and
+    running the capacity oracle, so a lazy import inside it counts too."""
     out = run_fresh_python(
         "import sys, memoctrl, memoctrl.cli\n"
         "memoctrl.capacity_limit(3, 1.0)\n"
-        "print([m for m in ('scipy.integrate', 'scipy.optimize',\n"
-        "                   'scipy.spatial', 'scipy.interpolate')\n"
-        "       if m in sys.modules])")
+        "print(*[m for m in sys.modules if m.startswith('scipy')])")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    return set(out.stdout.split())
+
+
+def test_cli_import_does_not_load_scipy_signal(fresh_scipy_modules):
+    # scipy.signal would add ~0.4 s of import time and ~23 MB of RSS to
+    # every run; the time kernels use scipy.linalg's LAPACK wrappers instead
+    assert "scipy.signal" not in fresh_scipy_modules
+
+
+def test_cli_import_does_not_load_scipy_sparse(fresh_scipy_modules):
+    # the Laplacian is a numpy stencil; scipy.sparse would add 33 scipy
+    # modules and about 1.5 MB of RSS to every process
+    assert "scipy.sparse" not in fresh_scipy_modules
+
+
+def test_cli_and_capacity_oracle_do_not_load_scipy_integrate(
+        fresh_scipy_modules):
+    # scipy.integrate pulls in scipy.optimize, scipy.spatial and more: about
+    # 0.26 s of import time and 17 MB of RSS in every process
+    assert not fresh_scipy_modules & {"scipy.integrate", "scipy.optimize",
+                                      "scipy.spatial", "scipy.interpolate"}

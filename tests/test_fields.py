@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from memoctrl import (Box, SpaceTimeField, SpatialGrid, TimeGrid,
-                      integrate_space_at, integrate_spacetime, laplacian_slice,
-                      lift_timeop, make_params, omega_mask, spacetime_inner)
-from memoctrl.fields import grad_inner, laplacian_matrix, space_weights
+                      integrate_space_at, integrate_spacetime, lift_timeop,
+                      make_params, neg_laplacian, omega_mask, spacetime_inner)
+from memoctrl.fields import grad_inner, space_weights
+from memoctrl.oracles import dense_neg_laplacian
 from memoctrl.timeops import apply_h_values
 
 
@@ -28,20 +29,25 @@ def test_grid_basics():
 
 def test_laplacian_zero_and_boundary():
     g = grid1d(21)
-    out = laplacian_slice(g, np.zeros(g.nnodes))
-    assert np.all(out == 0.0)
-    u = np.sin(np.pi * g.coords[:, 0])
-    lap = laplacian_slice(g, u)
-    assert lap[0] == 0.0 and lap[-1] == 0.0
+    inner = g.interior_idx
+    assert np.all(neg_laplacian(g, np.zeros(len(inner))) == 0.0)
+    # the Dirichlet data are zero: the first and last rows see no boundary
+    # value, whatever the field holds there
+    u = np.sin(np.pi * g.coords[:, 0]) + 1.0
+    lap = neg_laplacian(g, u[inner])
+    assert lap.shape == (len(inner),)
+    h2 = g.h[0] ** 2
+    assert lap[0] == pytest.approx((2.0 * u[1] - u[2]) / h2, rel=1e-14)
+    assert lap[-1] == pytest.approx((2.0 * u[-2] - u[-3]) / h2, rel=1e-14)
 
 
 def test_laplacian_1d_eigenfunction():
     g = grid1d(129)
     x = g.coords[:, 0]
     u = np.sin(np.pi * x)
-    lap = laplacian_slice(g, u)
     inner = g.interior_idx
-    err = np.max(np.abs(lap[inner] + np.pi ** 2 * u[inner]))
+    lap = neg_laplacian(g, u[inner])
+    err = np.max(np.abs(lap - np.pi ** 2 * u[inner]))
     assert err < np.pi ** 4 / 12 * g.h[0] ** 2 * 1.1
 
 
@@ -49,31 +55,35 @@ def test_laplacian_2d_polynomial_exact():
     g = grid2d()
     x, y = g.coords[:, 0], g.coords[:, 1]
     u = x * (1 - x) * y * (1 - y)
-    expected = -2.0 * (y * (1 - y) + x * (1 - x))
-    lap = laplacian_slice(g, u)
+    expected = 2.0 * (y * (1 - y) + x * (1 - x))
     inner = g.interior_idx
-    assert np.max(np.abs(lap[inner] - expected[inner])) < 1e-11
+    lap = neg_laplacian(g, u[inner])
+    assert np.max(np.abs(lap - expected[inner])) < 1e-11
 
 
 def test_laplacian_matrix_symmetric_positive():
+    # the stencil applied to the identity (a trailing axis) is its matrix
     g = grid2d(9, 7)
-    L = laplacian_matrix(g).toarray()
+    n = len(g.interior_idx)
+    L = neg_laplacian(g, np.eye(n))
     assert np.max(np.abs(L - L.T)) == 0.0
     rng = np.random.default_rng(0)
     for _ in range(5):
-        x = rng.normal(size=L.shape[0])
+        x = rng.normal(size=n)
         assert x @ L @ x > 0.0
 
 
 def test_laplacian_matrix_matches_slice_version():
-    g = grid2d(9, 7)
+    # the stencil against the dense oracle's Kronecker sum, which shares no
+    # code with it, in 1-D, 2-D and 3-D on fields with a trailing time axis
     rng = np.random.default_rng(1)
-    u = np.zeros(g.nnodes)
-    u[g.interior_idx] = rng.normal(size=len(g.interior_idx))
-    L = laplacian_matrix(g)
-    via_matrix = L @ u[g.interior_idx]
-    via_slice = -laplacian_slice(g, u)[g.interior_idx]
-    assert np.max(np.abs(via_matrix - via_slice)) < 1e-12
+    for shape in ((11,), (9, 7), (5, 6, 7)):
+        dim = len(shape)
+        g = SpatialGrid(Box((0.0,) * dim, (1.0,) * dim), shape)
+        u = rng.normal(size=(len(g.interior_idx), 4))
+        ref = dense_neg_laplacian(g) @ u
+        assert np.max(np.abs(neg_laplacian(g, u) - ref)) \
+            <= 1e-12 * np.max(np.abs(ref)), shape
 
 
 def test_omega_mask_staircase_and_boundary_guard():

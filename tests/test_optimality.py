@@ -136,7 +136,7 @@ def test_dense_coupled_oracle():
     t = tgrid.times[None, :]
     f = SpaceTimeField(grid, tgrid, (1.0 + 0.5 * np.sin(np.pi * x)) * (1 + 0 * t))
     f.values[grid.boundary_mask] = f.values[grid.boundary_mask]  # keep as is
-    result = solve_optimality(f, params, outer_tol=1e-11, inner_tol=1e-12)
+    result = solve_optimality(f, params, outer_tol=1e-11)
     assert result.converged
     u_dense, p_dense = dense_optimality_solve(params, grid, tgrid, f.values)
     inner = grid.interior_idx
@@ -154,7 +154,7 @@ def test_stiff_coupled_system_matches_dense(N):
     grid = SpatialGrid(params.domain_box, (17,))
     tgrid = TimeGrid(T=1.0, nt=16)
     f = SpaceTimeField.from_function(grid, tgrid, lambda x, t: 1.0 + 0 * x)
-    result = solve_optimality(f, params, outer_tol=1e-11, inner_tol=1e-12)
+    result = solve_optimality(f, params, outer_tol=1e-11)
     assert result.converged
     assert result.outer_iterations <= 20
     u_dense, p_dense = dense_optimality_solve(params, grid, tgrid, f.values)

@@ -236,18 +236,13 @@ def draws(grid, rng):
     return fourier_series(grid, rng).values, fourier_series(grid, rng).values
 
 
-@pytest.mark.parametrize("name", [pytest.param("M", id="Bn"),
-                                  pytest.param("G", id="mu")])
-def test_relax_duality(params, tgrid, name):
+@pytest.mark.parametrize("name, seed", [pytest.param("M", 42, id="Bn"),
+                                        pytest.param("G", 42, id="mu"),
+                                        pytest.param("H", 43, id="H")])
+def test_relax_duality(params, tgrid, name, seed):
+    # the relaxations M (rate Bn) and G (rate mu), and H built from them
     pair = adjoint_pairs(params, tgrid.dt)[name]
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        assert duality_gap(pair, tgrid, *draws(tgrid, rng)) < 1e-4
-
-
-def test_h_duality(params, tgrid):
-    pair = adjoint_pairs(params, tgrid.dt)["H"]
-    rng = np.random.default_rng(43)
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         assert duality_gap(pair, tgrid, *draws(tgrid, rng)) < 1e-4
 
