@@ -10,61 +10,62 @@ Runge-Kutta shooting solve.
 
 import numpy as np
 
-from memoctrl import (TimeGrid, TimeSeries, apply_h, apply_hstar, bvp_gstar_h,
-                      bvp_h_gstar, inner_product, make_params, relax_backward,
-                      relax_forward)
+from memoctrl import (TimeGrid, apply_h_values, apply_hstar_values,
+                      bvp_gstar_h_values, bvp_h_gstar_values, make_params,
+                      relax_backward_values, relax_forward_values,
+                      trapezoid_weights)
+from memoctrl.oracles import shoot_gstar_h
 
 params = make_params(n=3, C0=1.0, N=1.0, T=1.0)
 grid = TimeGrid(T=params.T, nt=512)
-t = grid.times
+t, dt = grid.times, grid.dt
+Bn, mu = params.Bn, params.mu
+w = trapezoid_weights(grid.nt, dt)  # np.dot(w, a * b) is <a, b> on (0, T)
 
-print(f"constants: Bn = {params.Bn}, mu = Bn + 1/N = {params.mu}, "
-      f"An = {params.An:.6f}")
+print(f"constants: Bn = {Bn}, mu = Bn + 1/N = {mu}, An = {params.An:.6f}")
 
-phi = TimeSeries(grid, np.sin(2 * np.pi * t) + 0.5 * t)
-psi = TimeSeries(grid, np.cos(np.pi * t) - t ** 2)
+phi = np.sin(2 * np.pi * t) + 0.5 * t
+psi = np.cos(np.pi * t) - t ** 2
 
 print("\n-- relaxation maps --")
-m_phi = relax_forward(phi, params.Bn)
-g_phi = relax_forward(phi, params.mu)
-print(f"M(phi)(T) = {m_phi.values[-1]:+.6f}   (starts at "
-      f"{m_phi.values[0]:+.1f} by construction)")
-print(f"G(phi)(T) = {g_phi.values[-1]:+.6f}   (faster decay, larger rate)")
+m_phi = relax_forward_values(phi, Bn, dt)
+g_phi = relax_forward_values(phi, mu, dt)
+print(f"M(phi)(T) = {m_phi[-1]:+.6f}   (starts at "
+      f"{m_phi[0]:+.1f} by construction)")
+print(f"G(phi)(T) = {g_phi[-1]:+.6f}   (faster decay, larger rate)")
 
 print("\n-- duality: <Op(phi), psi> == <phi, Op*(psi)> --")
 for name, fwd, bwd in [
-        ("M", lambda s: relax_forward(s, params.Bn),
-         lambda s: relax_backward(s, params.Bn)),
-        ("G", lambda s: relax_forward(s, params.mu),
-         lambda s: relax_backward(s, params.mu)),
-        ("H", lambda s: apply_h(s, params),
-         lambda s: apply_hstar(s, params))]:
-    lhs = inner_product(fwd(phi), psi)
-    rhs = inner_product(phi, bwd(psi))
+        ("M", lambda s: relax_forward_values(s, Bn, dt),
+         lambda s: relax_backward_values(s, Bn, dt)),
+        ("G", lambda s: relax_forward_values(s, mu, dt),
+         lambda s: relax_backward_values(s, mu, dt)),
+        ("H", lambda s: apply_h_values(s, Bn, mu, dt),
+         lambda s: apply_hstar_values(s, Bn, mu, dt))]:
+    lhs = float(np.dot(w, fwd(phi) * psi))
+    rhs = float(np.dot(w, phi * bwd(psi)))
     print(f"  {name}: lhs = {lhs:+.8f}, rhs = {rhs:+.8f}, "
           f"gap = {abs(lhs - rhs):.2e}")
 
 print("\n-- composition identities --")
-direct = bvp_gstar_h(phi, params)
-composed = relax_backward(apply_h(phi, params), params.mu)
+h_phi = apply_h_values(phi, Bn, mu, dt)
+direct = bvp_gstar_h_values(phi, Bn, mu, dt)
+composed = relax_backward_values(h_phi, mu, dt)
 print(f"  ||G*(H(phi)) - composition|| = "
-      f"{np.max(np.abs(direct.values - composed.values)):.2e}")
-direct2 = bvp_h_gstar(phi, params)
-composed2 = relax_forward(apply_hstar(phi, params), params.mu)
+      f"{np.max(np.abs(direct - composed)):.2e}")
+direct2 = bvp_h_gstar_values(phi, Bn, mu, dt)
+composed2 = relax_forward_values(apply_hstar_values(phi, Bn, mu, dt), mu, dt)
 print(f"  ||H(G*(phi)) - composition|| = "
-      f"{np.max(np.abs(direct2.values - composed2.values)):.2e}")
-g_of = relax_forward(phi, params.mu)
-rebuilt = g_of.values + (params.mu / params.N) * relax_forward(
-    apply_hstar(g_of, params), params.mu).values
+      f"{np.max(np.abs(direct2 - composed2)):.2e}")
+rebuilt = g_phi + (mu / params.N) * relax_forward_values(
+    apply_hstar_values(g_phi, Bn, mu, dt), mu, dt)
 print(f"  ||H(phi) - [G + (mu/N) G(H*(G))]|| = "
-      f"{np.max(np.abs(apply_h(phi, params).values - rebuilt)):.2e}")
+      f"{np.max(np.abs(h_phi - rebuilt)):.2e}")
 
 print("\n-- boundary-value reduction vs shooting oracle --")
-from memoctrl.oracles import shoot_gstar_h
-
 oracle = shoot_gstar_h(lambda s: np.sin(2 * np.pi * s) + 0.5 * s,
-                       params.Bn, params.mu, grid.T, grid.nt)
+                       Bn, mu, grid.T, grid.nt)
 print(f"  max |tridiagonal - RK4 shooting| = "
-      f"{np.max(np.abs(direct.values - oracle)):.2e}")
-print(f"  end conditions: A(T) = {direct.values[-1]:.1e}, "
-      f"H(phi)(0) = {apply_h(phi, params).values[0]:.1e}")
+      f"{np.max(np.abs(direct - oracle)):.2e}")
+print(f"  end conditions: A(T) = {direct[-1]:.1e}, "
+      f"H(phi)(0) = {h_phi[0]:.1e}")

@@ -140,24 +140,35 @@ def normalize_config(raw):
             f"{cap} MB (grid too large)")
     src = cfg["source"]
     if "csv" in src:
+        source_keys = {"csv"}
         if not Path(src["csv"]).exists():
             raise ConfigError(f"source csv not found: {src['csv']}")
     elif src.get("preset") not in ("constant", "sine-product", "gaussian-bump"):
         raise ConfigError(f"unknown source preset {src.get('preset')!r}")
-    elif src["preset"] == "gaussian-bump":
-        width = _real(src.get("width", 0.2), "source width")
-        if not 0 < width * width < math.inf:
-            raise ConfigError(f"source width must be > 0 with a finite, "
-                              f"nonzero square, got {width!r}")
-        center = src.get("center", [0.0] * cfg["sim_dim"])
-        if not isinstance(center, list) or len(center) != cfg["sim_dim"]:
-            raise ConfigError("source center must list one number per axis")
-        for c in center:
-            _real(c, "source center coordinate")
+    elif src.get("time", "constant") not in ("constant", "ramp", "sine"):
+        raise ConfigError(f"unknown source time modulation {src['time']!r}")
+    else:
+        source_keys = {"preset", "amplitude", "time"}
+        if src["preset"] == "gaussian-bump":
+            source_keys |= {"width", "center"}
+            width = _real(src.get("width", 0.2), "source width")
+            if not 0 < width * width < math.inf:
+                raise ConfigError(f"source width must be > 0 with a finite, "
+                                  f"nonzero square, got {width!r}")
+            center = src.get("center", [0.0] * cfg["sim_dim"])
+            if not isinstance(center, list) or len(center) != cfg["sim_dim"]:
+                raise ConfigError("source center must list one number per "
+                                  "axis")
+            for c in center:
+                _real(c, "source center coordinate")
     if cfg["control"].get("preset") not in ("zero", "ramp", "sine"):
         raise ConfigError(f"unknown control preset "
                           f"{cfg['control'].get('preset')!r}")
-    for key in ("source", "control"):
+    for key, allowed in (("source", source_keys),
+                         ("control", {"preset", "amplitude"})):
+        bad = set(cfg[key]) - allowed
+        if bad:
+            raise ConfigError(f"unknown {key} keys {sorted(bad)}")
         _real(cfg[key].get("amplitude", 1.0), f"{key} amplitude")
     grid = SpatialGrid(params.domain_box, tuple(cfg["nodes_per_axis"]))
     omega_mask(grid, params)  # raises if omega grabs a boundary node
@@ -208,8 +219,6 @@ def build_source(cfg, params, grid, tgrid):
         vals = vals * (tgrid.times / tgrid.T)[None, :]
     elif tmod == "sine":
         vals = vals * np.sin(np.pi * tgrid.times / tgrid.T)[None, :]
-    elif tmod != "constant":
-        raise ConfigError(f"unknown source time modulation {tmod!r}")
     return SpaceTimeField(grid, tgrid, vals)
 
 

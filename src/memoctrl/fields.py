@@ -199,14 +199,6 @@ def space_weights(grid):
     return w
 
 
-def integrate_space_at(field, k, mask=None):
-    """Spatial integral of one time slice (k is the time index; -1 for t = T)."""
-    w = space_weights(field.grid)
-    if mask is not None:
-        w = w * mask
-    return float(np.dot(w, field.values[:, k]))
-
-
 def integrate_spacetime(field, mask=None):
     """Space-time trapezoid integral; optional node mask restricts the region."""
     ws = space_weights(field.grid)

@@ -43,6 +43,14 @@ def sphere_area(n):
     return 2.0 * math.pi ** (n / 2.0) / _gamma_half(n)
 
 
+def _analysis_dimension(n):
+    """n as an int, if it is a whole number >= 3 (3.0 is; 3.5 is not)."""
+    if n != int(n) or n < 3:
+        raise ValueError(f"analysis dimension n must be a whole number >= 3, "
+                         f"got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by per-axis lower and upper corners."""
@@ -65,17 +73,6 @@ class Box:
     @property
     def dim(self):
         return len(self.lo)
-
-    @property
-    def measure(self):
-        out = 1.0
-        for a, b in zip(self.lo, self.hi):
-            out *= b - a
-        return out
-
-    def contains(self, point):
-        """True if the point lies in the closed box."""
-        return all(a <= x <= b for x, a, b in zip(point, self.lo, self.hi))
 
     def strictly_inside(self, other):
         """True if the closure of self is contained in the interior of other."""
@@ -108,13 +105,11 @@ class ModelParams:
 def make_params(n, C0, N, T, sim_dim=1, domain_box=None, omega_box=None):
     """Validate inputs and derive (Bn, mu, An).
 
-    Raises ValueError for n < 3 (the critical scaling exponent n/(n-2)
-    degenerates), non-positive C0/N/T, or a controlled region whose closure
-    is not strictly inside the domain.
+    Raises ValueError for an n that is not a whole number >= 3 (below 3 the
+    critical scaling exponent n/(n-2) degenerates), non-positive C0/N/T, or
+    a controlled region whose closure is not strictly inside the domain.
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"analysis dimension must satisfy n >= 3, got {n}")
+    n = _analysis_dimension(n)
     if C0 <= 0 or N <= 0 or T <= 0:
         raise ValueError("C0, N and T must all be positive")
     if sim_dim not in (1, 2, 3):
@@ -150,9 +145,7 @@ def cell_capacity_oracle(n, C0, eps_list):
     <= 1/(n-2), never through the closed-form capacity constant -- and scales
     by eps^{-n}.  The sequence converges to An as eps -> 0 at rate O(eps^2).
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"analysis dimension must satisfy n >= 3, got {n}")
+    n = _analysis_dimension(n)
     values = []
     sigma = sphere_area(n)
     for eps in eps_list:

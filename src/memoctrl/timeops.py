@@ -23,11 +23,11 @@ lower-bidiagonal system, solved by a single banded forward substitution
 (LAPACK dtbtrs) with the series as right-hand sides.  The
 BVPs use second-order central differences with the boundary conditions
 eliminated to keep a tridiagonal system; the Robin rows are built from the
-same one-sided derivative stencil as :func:`time_derivative`, so the
+same one-sided derivative stencil as :func:`time_derivative_values`, so the
 recovered H, H* satisfy their zero end condition to solver round-off.
 
 All kernels accept arrays of shape (..., nt+1) and act along the last axis;
-the thin TimeSeries wrappers below expose the documented surface.
+they are the module's public surface.
 """
 
 from __future__ import annotations
@@ -61,31 +61,6 @@ class TimeGrid:
     @cached_property
     def times(self):
         return np.linspace(0.0, self.T, self.nt + 1)
-
-
-@dataclass
-class TimeSeries:
-    """Scalar function of time sampled on a TimeGrid."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.nt + 1,):
-            raise ValueError(f"expected {self.grid.nt + 1} samples, "
-                             f"got shape {self.values.shape}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("time series contains non-finite values")
-
-    @classmethod
-    def from_function(cls, grid, fn):
-        return cls(grid, np.asarray([fn(t) for t in grid.times], dtype=float))
-
-
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError(f"time grids differ: {a.grid} vs {b.grid}")
 
 
 def _exp_weights(rate, dt):
@@ -204,49 +179,7 @@ def apply_hstar_values(psi, Bn, mu, dt):
 
 
 def trapezoid_weights(nt, dt):
+    """Weights w such that np.dot(w, a * b) is the trapezoid rule for a*b."""
     w = np.full(nt + 1, dt)
     w[0] = w[-1] = dt / 2.0
     return w
-
-
-# --- TimeSeries-level surface -------------------------------------------------
-
-def relax_forward(phi, rate):
-    """M-type map: solves y' + rate*y = phi with y(0) = 0."""
-    return TimeSeries(phi.grid, relax_forward_values(phi.values, rate, phi.grid.dt))
-
-
-def relax_backward(psi, rate):
-    """Adjoint map: solves -y' + rate*y = psi with y(T) = 0."""
-    return TimeSeries(psi.grid, relax_backward_values(psi.values, rate, psi.grid.dt))
-
-
-def bvp_gstar_h(phi, params):
-    return TimeSeries(phi.grid, bvp_gstar_h_values(
-        phi.values, params.Bn, params.mu, phi.grid.dt))
-
-
-def bvp_h_gstar(psi, params):
-    return TimeSeries(psi.grid, bvp_h_gstar_values(
-        psi.values, params.Bn, params.mu, psi.grid.dt))
-
-
-def apply_h(phi, params):
-    return TimeSeries(phi.grid, apply_h_values(
-        phi.values, params.Bn, params.mu, phi.grid.dt))
-
-
-def apply_hstar(psi, params):
-    return TimeSeries(psi.grid, apply_hstar_values(
-        psi.values, params.Bn, params.mu, psi.grid.dt))
-
-
-def inner_product(a, b):
-    """Trapezoidal quadrature of a*b over (0, T)."""
-    _check_same_grid(a, b)
-    w = trapezoid_weights(a.grid.nt, a.grid.dt)
-    return float(np.dot(w, a.values * b.values))
-
-
-def time_derivative(f):
-    return TimeSeries(f.grid, time_derivative_values(f.values, f.grid.dt))

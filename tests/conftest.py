@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import memoctrl
-from memoctrl import (SpaceTimeField, SpatialGrid, TimeGrid, TimeSeries,
-                      make_params, omega_mask)
+from memoctrl import (SpaceTimeField, SpatialGrid, TimeGrid, make_params,
+                      omega_mask)
 
 
 def default_params(**kw):
@@ -41,11 +41,12 @@ def fourier_series(grid, rng, modes=4):
         a, b = rng.normal(size=2)
         vals += a * np.sin(m * np.pi * t / grid.T) \
             + b * np.cos(m * np.pi * t / grid.T)
-    return TimeSeries(grid, vals)
+    return vals
 
 
 def series(grid, fn):
-    return TimeSeries(grid, fn(grid.times))
+    """fn sampled at the grid's times."""
+    return fn(grid.times)
 
 
 def control_field(params, grid, tgrid, fn):

@@ -23,6 +23,7 @@ from memoctrl.cli import main as cli_main
 from memoctrl.cost import gradient_J0_terms
 from memoctrl.fields import spacetime_inner
 from memoctrl.optimality import direct_minimize
+from memoctrl.oracles import dense_optimality_solve
 from memoctrl.verify import (adjoint_pairs, composition_gaps, dense_state_gap,
                              decomposition_gap, duality_gap, fp_identity_gap,
                              gradient_fd_gap, manufactured_state,
@@ -30,7 +31,6 @@ from memoctrl.verify import (adjoint_pairs, composition_gaps, dense_state_gap,
 
 from .conftest import (control_field, default_params, fourier_callable,
                        seeded_field)
-from .oracles import dense_optimality_solve
 from .test_optimality import adjoint_mms_error
 
 

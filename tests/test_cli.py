@@ -121,6 +121,9 @@ MALFORMED = [
     {"n": 3.5},
     {"T": 1e-300},  # 1/dt^2 overflows
     {"C0": 1e308},  # An overflows
+    {"source": {"preset": "constant", "time": "bogus"}},
+    {"source": {"preset": "constant", "amplitud": 5}},
+    {"control": {"preset": "ramp", "amplitde": 3}},
 ]
 
 
@@ -134,12 +137,16 @@ def test_malformed_value_exit_1_with_reason(tmp_path, capsys, raw):
 
 
 def test_sweep_refuses_malformed_base_config(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {**TINY, "nt": "x"})
-    out = tmp_path / "s"
-    assert main(["--config", cfg, "--out", str(out),
-                 "sweep", "--axis", "N", "--values", "1,2"]) == 1
-    assert capsys.readouterr().err.startswith("config error: ")
-    assert not (out / "sweep.csv").exists()
+    for i, raw in enumerate([{"nt": "x"},
+                             {"source": {"preset": "constant",
+                                         "time": "bogus"}}]):
+        cfg = write_cfg(tmp_path, {**TINY, **raw})
+        out = tmp_path / f"s{i}"
+        assert main(["--config", cfg, "--out", str(out),
+                     "sweep", "--axis", "N", "--values", "1,2"]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (out / "sweep.csv").exists()
+        assert not list(out.glob("point_*"))
 
 
 def test_oversize_grid_exit_1(tmp_path):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from memoctrl import (Box, SpaceTimeField, SpatialGrid, TimeGrid,
-                      integrate_space_at, integrate_spacetime, lift_timeop,
-                      make_params, neg_laplacian, omega_mask, spacetime_inner)
-from memoctrl.fields import grad_inner, space_weights
+                      integrate_spacetime, lift_timeop, make_params,
+                      neg_laplacian, omega_mask, spacetime_inner)
+from memoctrl.fields import grad_inner, space_inner_at, space_weights
 from memoctrl.oracles import dense_neg_laplacian
 from memoctrl.timeops import apply_h_values
 
@@ -131,7 +131,8 @@ def test_integral_of_time_ramp():
     tg = TimeGrid(T=2.0, nt=32)
     fld = SpaceTimeField.from_function(g, tg, lambda x, t: t)
     assert integrate_spacetime(fld) == pytest.approx(2.0, abs=1e-12)
-    assert integrate_space_at(fld, -1) == pytest.approx(2.0, abs=1e-12)
+    ones = SpaceTimeField.from_function(g, tg, lambda x, t: 1.0)
+    assert space_inner_at(fld, ones, -1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_lift_zero_field():

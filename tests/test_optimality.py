@@ -4,9 +4,9 @@ import pytest
 from memoctrl import (SpaceTimeField, SpatialGrid, TimeGrid, lift_timeop,
                       make_params, omega_mask, solve_adjoint, solve_optimality)
 from memoctrl.optimality import control_from_adjoint, extract_control_ode
+from memoctrl.oracles import dense_optimality_solve, shoot_h_gstar
 
 from .conftest import setup_1d
-from .oracles import dense_optimality_solve, shoot_h_gstar
 
 
 def test_adjoint_zero_state():

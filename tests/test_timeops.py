@@ -3,30 +3,31 @@ import math
 import numpy as np
 import pytest
 
-from memoctrl import (TimeGrid, TimeSeries, apply_h, apply_hstar, bvp_gstar_h,
-                      bvp_h_gstar, inner_product, make_params, relax_backward,
-                      relax_forward, time_derivative)
-from memoctrl.timeops import (_exp_weights, apply_h_values,
-                              apply_hstar_values, relax_forward_values)
+from memoctrl import make_params
+from memoctrl.oracles import (picard_h, picard_hstar, rk4_march,
+                              rk4_relax_forward, shoot_gstar_h, shoot_h_gstar)
+from memoctrl.timeops import (TimeGrid, _exp_weights, apply_h_values,
+                              apply_hstar_values, bvp_gstar_h_values,
+                              bvp_h_gstar_values, relax_backward_values,
+                              relax_forward_values, time_derivative_values,
+                              trapezoid_weights)
 from memoctrl.verify import (adjoint_pairs, composition_gaps, duality_gap,
                              shooting_gaps)
 
 from .conftest import (fourier_callable, fourier_series, run_fresh_python,
                        series)
-from .oracles import (picard_h, picard_hstar, rk4_march, rk4_relax_forward,
-                      shoot_gstar_h, shoot_h_gstar)
 
 
 # --- relaxation maps ----------------------------------------------------------
 
 def test_relax_forward_constant_source(tgrid):
-    y = relax_forward(series(tgrid, lambda t: np.ones_like(t)), rate=1.0)
-    assert y.values[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    y = relax_forward_values(series(tgrid, np.ones_like), 1.0, tgrid.dt)
+    assert y[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
 
 
 def test_relax_forward_zero_source(tgrid):
-    y = relax_forward(series(tgrid, np.zeros_like), rate=3.7)
-    assert np.all(y.values == 0.0)
+    y = relax_forward_values(series(tgrid, np.zeros_like), 3.7, tgrid.dt)
+    assert np.all(y == 0.0)
 
 
 def test_relax_forward_no_series():
@@ -45,54 +46,55 @@ def test_relax_forward_no_series():
 
 def test_relax_forward_resonant_exponential(tgrid):
     lam = 2.0
-    y = relax_forward(series(tgrid, lambda t: np.exp(-lam * t)), rate=lam)
+    y = relax_forward_values(series(tgrid, lambda t: np.exp(-lam * t)), lam,
+                             tgrid.dt)
     mid = tgrid.nt // 2
     t_mid = tgrid.times[mid]
     # exact solution t e^{-lam t}; the integrator sees a piecewise-linear
     # source, so the defect is O(dt^2)
-    assert y.values[mid] == pytest.approx(t_mid * math.exp(-lam * t_mid), abs=2e-5)
+    assert y[mid] == pytest.approx(t_mid * math.exp(-lam * t_mid), abs=2e-5)
     oracle = rk4_relax_forward(lambda t: np.exp(-lam * t), lam, tgrid.T, tgrid.nt)
-    assert np.max(np.abs(y.values - oracle)) < 2e-5
+    assert np.max(np.abs(y - oracle)) < 2e-5
 
 
 def test_relax_forward_exact_on_affine_source():
     grid = TimeGrid(T=2.0, nt=37)
     lam, a, b = 1.7, 0.4, -1.1
-    y = relax_forward(series(grid, lambda t: a + b * t), rate=lam)
+    y = relax_forward_values(series(grid, lambda t: a + b * t), lam, grid.dt)
     t = grid.times
     exact = (a + b * t) / lam - b / lam ** 2 \
         - (a / lam - b / lam ** 2) * np.exp(-lam * t)
-    assert np.max(np.abs(y.values - exact)) < 1e-14
+    assert np.max(np.abs(y - exact)) < 1e-14
 
 
 def test_relax_backward_constant_source(tgrid):
-    y = relax_backward(series(tgrid, lambda t: np.ones_like(t)), rate=1.0)
-    assert y.values[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-    assert y.values[-1] == 0.0
+    y = relax_backward_values(series(tgrid, np.ones_like), 1.0, tgrid.dt)
+    assert y[0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
+    assert y[-1] == 0.0
 
 
 def test_relax_backward_closed_form():
     grid = TimeGrid(T=1.5, nt=300)
     lam = 2.5
-    y = relax_backward(series(grid, lambda t: np.ones_like(t)), rate=lam)
+    y = relax_backward_values(series(grid, np.ones_like), lam, grid.dt)
     exact = (1.0 - np.exp(-lam * (grid.T - grid.times))) / lam
-    assert np.max(np.abs(y.values - exact)) < 1e-13
+    assert np.max(np.abs(y - exact)) < 1e-13
 
 
 def test_relax_backward_is_time_reversal(tgrid):
     rng = np.random.default_rng(7)
     psi = fourier_series(tgrid, rng)
-    back = relax_backward(psi, rate=1.3)
-    fwd = relax_forward(TimeSeries(tgrid, psi.values[::-1].copy()), rate=1.3)
-    assert np.max(np.abs(back.values - fwd.values[::-1])) < 1e-12
+    back = relax_backward_values(psi, 1.3, tgrid.dt)
+    fwd = relax_forward_values(psi[::-1].copy(), 1.3, tgrid.dt)
+    assert np.max(np.abs(back - fwd[::-1])) < 1e-12
 
 
 def test_relax_rejects_bad_rate(tgrid):
     phi = series(tgrid, np.zeros_like)
     with pytest.raises(ValueError):
-        relax_forward(phi, rate=0.0)
+        relax_forward_values(phi, 0.0, tgrid.dt)
     with pytest.raises(ValueError):
-        relax_backward(phi, rate=-1.0)
+        relax_backward_values(phi, -1.0, tgrid.dt)
 
 
 def relax_reference(phi, rate, dt):
@@ -122,14 +124,16 @@ def test_relax_forward_matches_stepwise_recurrence(shape, z, reverse):
 # --- the second-order boundary-value reductions --------------------------------
 
 def test_bvp_gstar_h_zero_source(params, tgrid):
-    A = bvp_gstar_h(series(tgrid, np.zeros_like), params)
-    assert np.all(A.values == 0.0)
+    A = bvp_gstar_h_values(series(tgrid, np.zeros_like), params.Bn, params.mu,
+                           tgrid.dt)
+    assert np.all(A == 0.0)
 
 
 def test_bvp_gstar_h_discrete_contract(params):
     grid = TimeGrid(T=1.0, nt=512)
-    A = bvp_gstar_h(series(grid, lambda t: np.ones_like(t)), params)
-    a, dt = A.values, grid.dt
+    dt = grid.dt
+    a = bvp_gstar_h_values(series(grid, np.ones_like), params.Bn, params.mu,
+                           dt)
     # terminal condition is eliminated exactly
     assert a[-1] == 0.0
     # the one-sided Robin residual at t=0 vanishes to round-off
@@ -192,28 +196,32 @@ def test_bvp_sine_source_vs_shooting(params):
 def test_bvp_h_gstar_is_mirror_of_gstar_h(params, tgrid):
     rng = np.random.default_rng(11)
     psi = fourier_series(tgrid, rng)
-    C = bvp_h_gstar(psi, params)
-    mirrored = bvp_gstar_h(TimeSeries(tgrid, psi.values[::-1].copy()), params)
-    assert np.max(np.abs(C.values - mirrored.values[::-1])) < 1e-12
+    C = bvp_h_gstar_values(psi, params.Bn, params.mu, tgrid.dt)
+    mirrored = bvp_gstar_h_values(psi[::-1].copy(), params.Bn, params.mu,
+                                  tgrid.dt)
+    assert np.max(np.abs(C - mirrored[::-1])) < 1e-12
 
 
 # --- H and H* recovered from the reductions ------------------------------------
 
 def test_apply_h_zero(params, tgrid):
-    out = apply_h(series(tgrid, np.zeros_like), params)
-    assert np.all(out.values == 0.0)
+    out = apply_h_values(series(tgrid, np.zeros_like), params.Bn, params.mu,
+                         tgrid.dt)
+    assert np.all(out == 0.0)
 
 
 def test_apply_h_initial_value_pinned(params):
     grid = TimeGrid(T=1.0, nt=128)
-    out = apply_h(series(grid, lambda t: np.ones_like(t)), params)
-    assert abs(out.values[0]) < 1e-10
+    out = apply_h_values(series(grid, np.ones_like), params.Bn, params.mu,
+                         grid.dt)
+    assert abs(out[0]) < 1e-10
 
 
 def test_apply_hstar_terminal_value_pinned(params, tgrid):
     rng = np.random.default_rng(3)
-    out = apply_hstar(fourier_series(tgrid, rng), params)
-    assert abs(out.values[-1]) < 1e-10
+    out = apply_hstar_values(fourier_series(tgrid, rng), params.Bn, params.mu,
+                             tgrid.dt)
+    assert abs(out[-1]) < 1e-10
 
 
 @pytest.mark.parametrize("maker,oracle", [
@@ -233,7 +241,7 @@ def test_h_operators_match_picard_oracle(params, maker, oracle):
 
 def draws(grid, rng):
     """Two seeded smooth sample arrays, phi then psi."""
-    return fourier_series(grid, rng).values, fourier_series(grid, rng).values
+    return fourier_series(grid, rng), fourier_series(grid, rng)
 
 
 @pytest.mark.parametrize("name, seed", [pytest.param("M", 42, id="Bn"),
@@ -261,7 +269,7 @@ def test_duality_gap_shrinks_second_order(params):
 def test_composition_identities(params, tgrid):
     # G*(H(phi)) = G*H(phi), G(H*(phi)) = HG*(phi), and
     # H(phi) = G(phi) + (mu/N) G(H*(G(phi)))
-    phi = fourier_series(tgrid, np.random.default_rng(5)).values
+    phi = fourier_series(tgrid, np.random.default_rng(5))
     norm = float(np.max(np.abs(phi)))
     for name, gap in composition_gaps(params, tgrid.dt, phi).items():
         assert gap < 1e-4 * norm, name
@@ -271,7 +279,7 @@ def test_composition_identities_decay_second_order(params):
     errs = []
     for nt in (256, 512):
         grid = TimeGrid(T=1.0, nt=nt)
-        phi = fourier_series(grid, np.random.default_rng(6)).values
+        phi = fourier_series(grid, np.random.default_rng(6))
         errs.append(composition_gaps(params, grid.dt, phi)["GstarH"])
     assert errs[1] <= errs[0] / 3.5
 
@@ -280,30 +288,25 @@ def test_composition_identities_decay_second_order(params):
 
 def test_inner_product_examples():
     grid = TimeGrid(T=2.0, nt=100)
-    one = series(grid, lambda t: np.ones_like(t))
-    assert inner_product(one, one) == pytest.approx(2.0, abs=1e-14)
+    w = trapezoid_weights(grid.nt, grid.dt)
+    one = series(grid, np.ones_like)
+    assert np.dot(w, one * one) == pytest.approx(2.0, abs=1e-14)
 
     grid1 = TimeGrid(T=1.0, nt=100)
+    w1 = trapezoid_weights(grid1.nt, grid1.dt)
     tt = series(grid1, lambda t: t)
-    one1 = series(grid1, lambda t: np.ones_like(t))
-    assert inner_product(tt, one1) == pytest.approx(0.5, abs=1e-14)
+    one1 = series(grid1, np.ones_like)
+    assert np.dot(w1, tt * one1) == pytest.approx(0.5, abs=1e-14)
 
     s = series(grid1, lambda t: np.sin(np.pi * t))
-    assert inner_product(s, s) == pytest.approx(0.5, abs=1e-3)
-
-
-def test_inner_product_rejects_grid_mismatch():
-    a = series(TimeGrid(T=1.0, nt=10), lambda t: t)
-    b = series(TimeGrid(T=1.0, nt=20), lambda t: t)
-    with pytest.raises(ValueError):
-        inner_product(a, b)
+    assert np.dot(w1, s * s) == pytest.approx(0.5, abs=1e-3)
 
 
 def test_time_derivative_exact_on_quadratics():
     grid = TimeGrid(T=1.0, nt=50)
     f = series(grid, lambda t: 1.0 + 2.0 * t - 3.0 * t ** 2)
-    d = time_derivative(f)
-    assert np.max(np.abs(d.values - (2.0 - 6.0 * grid.times))) < 1e-12
+    d = time_derivative_values(f, grid.dt)
+    assert np.max(np.abs(d - (2.0 - 6.0 * grid.times))) < 1e-12
 
 
 def test_operator_convergence_against_oracles(params):
@@ -333,10 +336,11 @@ def test_operator_convergence_against_oracles(params):
 def test_bvp_minimal_grid():
     params = make_params(n=3, C0=1.0, N=1.0, T=1.0)
     grid = TimeGrid(T=1.0, nt=2)
-    A = bvp_gstar_h(series(grid, lambda t: np.ones_like(t)), params)
-    assert A.values[-1] == 0.0
-    assert np.all(np.isfinite(A.values))
+    A = bvp_gstar_h_values(series(grid, np.ones_like), params.Bn, params.mu,
+                           grid.dt)
+    assert A[-1] == 0.0
+    assert np.all(np.isfinite(A))
     # interior equation at the middle node holds exactly
-    res = -(A.values[0] - 2 * A.values[1] + A.values[2]) / grid.dt ** 2 \
-        + params.Bn * params.mu * A.values[1] - 1.0
+    res = -(A[0] - 2 * A[1] + A[2]) / grid.dt ** 2 \
+        + params.Bn * params.mu * A[1] - 1.0
     assert abs(res) < 1e-12
